@@ -45,6 +45,7 @@ from .lyapunov import (
     growth_rate,
     in_exclusion_window,
     kalinin_gap,
+    kalinin_profile,
     lyapunov_mc,
     lyapunov_mc_grid,
     lyapunov_periodic,

@@ -36,7 +36,7 @@ from .errors import (
     UnknownSubcommand,
 )
 from .graph_model import VertexData, kirchhoff_residual
-from .lyapunov import McParams, lyapunov_mc, lyapunov_mc_grid, lyapunov_periodic, zero_set_scan
+from .lyapunov import McParams, kalinin_profile, lyapunov_mc_grid, zero_set_scan
 from .measure import MarkovMeasure, sample_window, stationary_markov
 from .sft import SubshiftSpec, enumerate_periodic_points, validate_spec
 from .spectra import band_set, exceptional_candidates
@@ -237,16 +237,7 @@ def run_subcommand(
     if name == "kalinin":
         if k is None:
             raise ParseError("kalinin requires --k")
-        est = lyapunov_mc(config.measure, k, config.mc.n_steps, config.mc.n_samples, config.mc.seed)
-        points = enumerate_periodic_points(config.spec, mp)
-        rows = []
-        for period_budget in range(1, mp + 1):
-            gap = min(
-                abs(lyapunov_periodic(p, k) - est.value)
-                for p in points
-                if p.period <= period_budget
-            )
-            rows.append((period_budget, gap))
+        rows = list(enumerate(kalinin_profile(config.measure, k, mp, config.mc), start=1))
         return ResultTable("kalinin", ("max_period", "gap"), rows)
 
     if name == "verify-graph":

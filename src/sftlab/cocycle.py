@@ -132,10 +132,16 @@ def canonical_cos(k: float) -> float:
         seen.append(x)
 
 
-def a_matrix(k: float, prev: int, cur: int) -> Mat2:
-    """Single-step transfer matrix for the letter pair (w_{-1}, w_0) = (prev, cur)."""
+def check_energy(k: float):
+    """Raise SingularEnergy when sin k vanishes within _SIN_TOL: at integer
+    multiples of pi the edge solutions degenerate and the cocycle is undefined."""
     if abs(math.sin(k)) <= _SIN_TOL:
         raise SingularEnergy(f"k = {k} is an integer multiple of pi within {_SIN_TOL}")
+
+
+def a_matrix(k: float, prev: int, cur: int) -> Mat2:
+    """Single-step transfer matrix for the letter pair (w_{-1}, w_0) = (prev, cur)."""
+    check_energy(k)
     if prev < 1 or cur < 1:
         raise ValueError("letters must be positive integers")
     c = canonical_cos(k)
@@ -229,8 +235,7 @@ def stable_holonomy(k: float, w: Word, w2: Word) -> Mat2:
 def unstable_holonomy(k: float, w: Word, w2: Word) -> Mat2:
     """Identity, for w2 in the local unstable set of w (agreement on indices
     <= 0): backward products use only coordinates <= 0, which coincide."""
-    if abs(math.sin(k)) <= _SIN_TOL:
-        raise SingularEnergy(f"k = {k} is an integer multiple of pi within {_SIN_TOL}")
+    check_energy(k)
     for x, who in ((w, "first window"), (w2, "second window")):
         _require_window(x, 0, who)
     lo = max(w.first_index, w2.first_index)

@@ -11,16 +11,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .cocycle import solve_difference
-from .errors import SingularEnergy
+from .cocycle import check_energy, solve_difference
 from .sft import Word
-
-_SIN_TOL = 1e-12
-
-
-def _check_k(k: float):
-    if abs(math.sin(k)) <= _SIN_TOL:
-        raise SingularEnergy(f"k = {k} is an integer multiple of pi within {_SIN_TOL}")
 
 
 @dataclass(frozen=True)
@@ -32,7 +24,7 @@ class EdgeSolution:
     phi1: float
 
     def __post_init__(self):
-        _check_k(self.k)
+        check_energy(self.k)
 
     def value(self, x: float) -> float:
         # dividing the weights first makes value(0) == phi0 and
@@ -77,7 +69,7 @@ def kirchhoff_residual(v: VertexData, k: float) -> list[float]:
 
     normalized by (k/|sin k|) * max|u| so thresholds are k-uniform.  Zero at a
     vertex exactly when the three-term recursion holds there."""
-    _check_k(k)
+    check_energy(k)
     scale = (k / abs(math.sin(k))) * max(max(abs(u) for u in v.values), 1e-300)
     residuals = []
     for n in range(v.word.first_index + 1, v.word.last_index + 1):

@@ -5,16 +5,22 @@ The Monte-Carlo estimator runs ``n_samples`` independent windows of
 ``n_steps`` steps each.  Sample ``i`` draws its letters exactly as
 ``measure.sample_window(measure, -1, n_steps - 1, seed=(seed, i))`` would
 (the documented splitting rule), multiplies the per-step matrices with
-max-entry renormalization at every step, and reports
+max-entry renormalization once per L-step word, and reports
 
     rate_i = (accumulated log scale + log spectral norm of the residual) / n_steps.
 
+The L-step products of every (L+1)-letter word are tabulated per energy from
+the single-step matrices, with L the longest length whose table has at most
+512 words (8 steps for two letters), so the product advances L steps per
+Python iteration.
+
 The estimate is the sample mean; stderr is the sample standard deviation over
-the independent rates divided by sqrt(n_samples).  Everything is elementwise
-arithmetic on per-sample lanes, so results are bit-identical whether energies
-are estimated one at a time or batched on a grid, and identical at k and
-acos(cos k) because the letter streams never depend on k and the matrices are
-functions of the canonicalized cosine.
+the independent rates divided by sqrt(n_samples).  Everything, the word
+tables included, is elementwise arithmetic per energy and per-sample lane, so
+results are bit-identical whether energies are estimated one at a time or
+batched on a grid, and identical at k and acos(cos k) because the letter
+streams never depend on k and the matrices are functions of the
+canonicalized cosine.
 """
 
 from __future__ import annotations
@@ -30,7 +36,20 @@ from .measure import MarkovMeasure
 from .sft import PeriodicPoint, enumerate_periodic_points
 from .spectra import monodromy_trace
 
-_BLOCK = 8192
+_BLOCK = 1024
+_WORD_TABLE_MAX = 512
+
+
+def _word_steps(alphabet_size: int) -> int:
+    """Steps per word-table entry: the longest L >= 1 with
+    alphabet_size**(L+1) <= 512 (8 for two letters, 4 for three, 1 from 23
+    letters on).  A step's rows have absolute sums below
+    2*sqrt(alphabet_size) + 1, and so do its inverse's, so renormalizing once
+    per L steps keeps every entry far inside double range."""
+    length = 1
+    while alphabet_size ** (length + 2) <= _WORD_TABLE_MAX:
+        length += 1
+    return length
 
 
 @dataclass(frozen=True)
@@ -106,50 +125,84 @@ def _iter_pair_blocks(
         done += b
 
 
-def _mc_rates(
-    measure: MarkovMeasure, k_values: Sequence[float], n_steps: int, n_samples: int, seed: int
-) -> np.ndarray:
-    """Per-sample rates, shape (len(k_values), n_samples)."""
+def _step_table(measure: MarkovMeasure, k_values: Sequence[float]) -> np.ndarray:
+    """Entries (a11, a12, a21, a22) of the single-step matrix for every letter
+    pair index (prev-1)*l + (cur-1), shape (4, n_k, l*l); NaN on forbidden
+    pairs."""
     l = measure.spec.alphabet_size
-    n_k = len(k_values)
-    e11 = np.full((n_k, l * l), np.nan)
-    e12 = np.full((n_k, l * l), np.nan)
-    e21 = np.full((n_k, l * l), np.nan)
+    table = np.full((4, len(k_values), l * l), np.nan)
     for a, k in enumerate(k_values):
         for prev in measure.spec.letters:
             for cur in measure.spec.letters:
                 if measure.spec.allowed[prev - 1][cur - 1]:
-                    m = a_matrix(k, prev, cur)
-                    idx = (prev - 1) * l + (cur - 1)
-                    e11[a, idx], e12[a, idx], e21[a, idx] = m.a11, m.a12, m.a21
+                    table[:, a, (prev - 1) * l + (cur - 1)] = a_matrix(k, prev, cur)
+    return table
 
-    m11 = np.ones((n_k, n_samples))
-    m12 = np.zeros((n_k, n_samples))
-    m21 = np.zeros((n_k, n_samples))
-    m22 = np.ones((n_k, n_samples))
-    logs = np.zeros((n_k, n_samples))
+
+def _word_table(steps: np.ndarray, l: int, length: int) -> np.ndarray:
+    """Entries of the ``length``-step product A(w_L-1, w_L) ... A(w_0, w_1) for
+    every (length+1)-letter word, indexed base l with w_0 most significant,
+    shape (4, n_k, l**(length+1)).  Words containing a forbidden pair hold NaN."""
+    table = steps
+    for _ in range(length - 1):
+        # appending letter c to word w gives index w*l + c and the step (w % l, c)
+        words = np.repeat(np.arange(table.shape[-1]), l)
+        step = steps[:, :, (words % l) * l + np.tile(np.arange(l), table.shape[-1])]
+        table = _mul(step, table[:, :, words])
+    return table
+
+
+def _mul(a: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """Elementwise 2x2 products a @ m over stacked (a11, a12, a21, a22) entries."""
+    return np.stack(
+        (
+            a[0] * m[0] + a[1] * m[2],
+            a[0] * m[1] + a[1] * m[3],
+            a[2] * m[0] + a[3] * m[2],
+            a[2] * m[1] + a[3] * m[3],
+        )
+    )
+
+
+def _advance(a: np.ndarray, m: np.ndarray, logs: np.ndarray) -> np.ndarray:
+    """a @ m renormalized by its max entry, whose log is added to logs in place."""
+    prod = _mul(a, m)
+    mag = np.abs(prod).max(axis=0)
+    logs += np.log(mag)
+    return prod / mag
+
+
+def _mc_rates(
+    measure: MarkovMeasure, k_values: Sequence[float], n_steps: int, n_samples: int, seed: int
+) -> np.ndarray:
+    """Per-sample rates, shape (len(k_values), n_samples).
+
+    Each Python iteration applies the precomputed L-step product of one
+    (L+1)-letter word per lane, L = _word_steps(l), and renormalizes once;
+    the steps a block leaves over after its last whole word use the
+    single-step table."""
+    l = measure.spec.alphabet_size
+    length = _word_steps(l)
+    steps = _step_table(measure, k_values)
+    words = _word_table(steps, l, length)
+
+    m = np.zeros((4, len(k_values), n_samples))
+    m[0] = m[3] = 1.0
+    logs = np.zeros((len(k_values), n_samples))
+
     for pairs in _iter_pair_blocks(measure, n_steps, n_samples, seed):
-        for t in range(pairs.shape[1]):
-            idx = pairs[:, t]
-            a11 = e11[:, idx]
-            a12 = e12[:, idx]
-            a21 = e21[:, idx]
-            # single-step matrices have a zero lower-right entry
-            n11 = a11 * m11 + a12 * m21
-            n12 = a11 * m12 + a12 * m22
-            n21 = a21 * m11
-            n22 = a21 * m12
-            mag = np.maximum(
-                np.maximum(np.abs(n11), np.abs(n12)), np.maximum(np.abs(n21), np.abs(n22))
-            )
-            logs += np.log(mag)
-            m11 = n11 / mag
-            m12 = n12 / mag
-            m21 = n21 / mag
-            m22 = n22 / mag
+        b = pairs.shape[1]
+        whole = b - b % length
+        idx = pairs[:, 0:whole:length]
+        for i in range(1, length):
+            idx = idx * l + pairs[:, i:whole:length] % l
+        for j in range(idx.shape[1]):
+            m = _advance(words[:, :, idx[:, j]], m, logs)
+        for t in range(whole, b):
+            m = _advance(steps[:, :, pairs[:, t]], m, logs)
 
-    q = m11 * m11 + m12 * m12 + m21 * m21 + m22 * m22
-    det = m11 * m22 - m12 * m21
+    q = m[0] * m[0] + m[1] * m[1] + m[2] * m[2] + m[3] * m[3]
+    det = m[0] * m[3] - m[1] * m[2]
     smax = np.sqrt((q + np.sqrt(np.maximum(q * q - 4.0 * det * det, 0.0))) / 2.0)
     return (logs + np.log(smax)) / n_steps
 
@@ -216,10 +269,22 @@ def zero_set_scan(
     ]
 
 
-def kalinin_gap(measure: MarkovMeasure, k: float, max_period: int, mc_params: McParams) -> float:
-    """min over periodic points of period <= max_period of |periodic exponent
-    - Monte-Carlo estimate|: a diagnostic that should shrink as the period
-    budget grows."""
-    est = lyapunov_mc(measure, k, mc_params.n_steps, mc_params.n_samples, mc_params.seed)
+def kalinin_profile(
+    measure: MarkovMeasure, k: float, max_period: int, mc_params: McParams
+) -> list[float]:
+    """For each period budget n = 1..max_period, the min over periodic points
+    of period <= n of |periodic exponent - Monte-Carlo estimate|: a
+    diagnostic that should shrink as the budget grows."""
     points = enumerate_periodic_points(measure.spec, max_period)
-    return min(abs(lyapunov_periodic(p, k) - est.value) for p in points)
+    est = lyapunov_mc(measure, k, mc_params.n_steps, mc_params.n_samples, mc_params.seed)
+    gaps = [abs(lyapunov_periodic(p, k) - est.value) for p in points]
+    return [
+        min(g for p, g in zip(points, gaps) if p.period <= budget)
+        for budget in range(1, max_period + 1)
+    ]
+
+
+def kalinin_gap(measure: MarkovMeasure, k: float, max_period: int, mc_params: McParams) -> float:
+    """The last entry of :func:`kalinin_profile`: the gap over every periodic
+    point of period <= max_period."""
+    return kalinin_profile(measure, k, max_period, mc_params)[-1]

@@ -8,11 +8,9 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .cocycle import canonical_cos
-from .errors import ResolutionTooCoarse, SingularEnergy
+from .cocycle import canonical_cos, check_energy
+from .errors import ResolutionTooCoarse
 from .sft import PeriodicPoint, SubshiftSpec, enumerate_periodic_points
-
-_SIN_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -63,8 +61,7 @@ def monodromy_trace(p: PeriodicPoint, k: float) -> float:
     """Trace of the one-period product, accumulated with max-entry
     renormalization every step and reconstructed at the end (entries stay in
     range at desk-scale periods)."""
-    if abs(math.sin(k)) <= _SIN_TOL:
-        raise SingularEnergy(f"k = {k} is an integer multiple of pi within {_SIN_TOL}")
+    check_energy(k)
     c = canonical_cos(k)
     m11, m12, m21, m22 = 1.0, 0.0, 0.0, 1.0
     log_scale = 0.0
@@ -123,10 +120,9 @@ def band_set(p: PeriodicPoint, grid_points: int = 2001, tol: float = 1e-10) -> B
         raise ValueError("grid_points must be >= 64")
     if tol <= 0.0:
         raise ValueError("tol must be positive")
-    curve = TraceCurve(p)
 
     def f(k: float) -> float:
-        return abs(curve(k)) - 2.0
+        return abs(monodromy_trace(p, k)) - 2.0
 
     step = math.pi / (grid_points + 1)
     ks = [step * (i + 1) for i in range(grid_points)]

@@ -17,6 +17,7 @@ from sftlab import (
     growth_rate,
     in_exclusion_window,
     kalinin_gap,
+    kalinin_profile,
     lyapunov_mc,
     lyapunov_mc_grid,
     lyapunov_periodic,
@@ -26,12 +27,14 @@ from sftlab import (
     validate_spec,
     zero_set_scan,
 )
-from sftlab.lyapunov import _iter_pair_blocks
+from sftlab.lyapunov import _BLOCK, _iter_pair_blocks, _mc_rates, _word_steps
 
 FULL = validate_spec(2, [])
 GOLDEN = validate_spec(2, [(2, 2)])
 FULL_UNIFORM = stationary_markov(FULL, [[0.5, 0.5], [0.5, 0.5]])
 GOLDEN_HALF = stationary_markov(GOLDEN, [[0.5, 0.5], [1.0, 0.0]])
+THREE = validate_spec(3, [(2, 2), (3, 1)])
+THREE_MARKOV = stationary_markov(THREE, [[0.2, 0.3, 0.5], [0.6, 0.0, 0.4], [0.0, 0.7, 0.3]])
 P1 = PeriodicPoint.from_letters((1,))
 P12 = PeriodicPoint.from_letters((1, 2))
 LN2_OVER_2 = 0.34657359027997264
@@ -166,6 +169,45 @@ def test_mc_paths_match_sample_window_contract():
         assert pairs[i].tolist() == expected
 
 
+def test_mc_paths_match_sample_window_contract_across_blocks():
+    # the same contract over several sampler blocks and a short last block
+    n_steps, n_samples, seed = 2 * _BLOCK + 37, 3, 8
+    for measure in (GOLDEN_HALF, THREE_MARKOV):
+        blocks = list(_iter_pair_blocks(measure, n_steps, n_samples, seed))
+        assert [b.shape[1] for b in blocks] == [_BLOCK, _BLOCK, 37]
+        pairs = np.concatenate(blocks, axis=1)
+        l = measure.spec.alphabet_size
+        for i in range(n_samples):
+            letters = sample_window(measure, -1, n_steps - 1, (seed, i)).letters
+            expected = [(a - 1) * l + (b - 1) for a, b in zip(letters, letters[1:])]
+            assert pairs[i].tolist() == expected
+
+
+def test_word_steps_from_alphabet_size():
+    assert [_word_steps(l) for l in (2, 3, 4, 5, 8, 9, 22, 23, 40)] == [8, 4, 3, 2, 2, 1, 1, 1, 1]
+    for l in range(2, 40):
+        assert l ** (_word_steps(l) + 1) <= 512 or _word_steps(l) == 1
+        assert l ** (_word_steps(l) + 2) > 512
+
+
+def test_mc_rates_match_per_step_product():
+    # oracle: the every-step renormalized scalar product on the sample's own
+    # letters; 2*_BLOCK + 37 steps make the sampler's last block short, so
+    # the leftover single steps after the last whole word run as well
+    n_steps, n_samples, seed = 2 * _BLOCK + 37, 4, 2024
+    ks = [0.31, 1.2, math.pi / 2, 2.7]
+    for measure in (FULL_UNIFORM, GOLDEN_HALF, THREE_MARKOV):
+        rates = _mc_rates(measure, ks, n_steps, n_samples, seed)
+        assert rates.shape == (len(ks), n_samples)
+        # words holding a forbidden pair are NaN in the table: never read
+        assert np.all(np.isfinite(rates))
+        for i in range(n_samples):
+            word = sample_window(measure, -1, n_steps - 1, (seed, i))
+            for a, k in enumerate(ks):
+                oracle = growth_rate(cocycle_product(k, word), n_steps)
+                assert rates[a, i] == pytest.approx(oracle, rel=0, abs=1e-12)
+
+
 def _recursion_rates(measure, k, n_steps, n_samples, seed):
     """Per-sample rates from the plain Kirchhoff recursion
     w_j u_{j+1} = (w_j + w_{j-1}) cos k u_j - w_{j-1} u_{j-1}, run without
@@ -289,3 +331,19 @@ def test_kalinin_gap_shrinks_with_more_periods():
     gaps = [kalinin_gap(FULL_UNIFORM, k, mp, mc) for mp in (1, 2, 4)]
     assert gaps[1] <= gaps[0] + 1e-12
     assert gaps[2] <= gaps[1] + 1e-12
+
+
+def test_kalinin_profile_rejects_empty_budget_before_sampling(monkeypatch):
+    def no_sampling(*args):
+        pytest.fail("the estimate ran before max_period was validated")
+
+    monkeypatch.setattr("sftlab.lyapunov.lyapunov_mc", no_sampling)
+    with pytest.raises(ValueError, match="max_period"):
+        kalinin_profile(FULL_UNIFORM, 1.0, 0, McParams(100_000, 100, 1))
+
+
+def test_kalinin_profile_entries_are_gaps_per_budget():
+    mc = McParams(5000, 8, 37)
+    for measure, k in ((FULL_UNIFORM, 1.2), (GOLDEN_HALF, 0.6)):
+        profile = kalinin_profile(measure, k, 5, mc)
+        assert profile == [kalinin_gap(measure, k, mp, mc) for mp in range(1, 6)]

@@ -232,6 +232,7 @@ def test_candidates_golden_mean_against_grid_oracle():
     max_period = 3
     cand = exceptional_candidates(GOLDEN, max_period)
     points = enumerate_periodic_points(GOLDEN, max_period)
+    bands = [band_set(p) for p in points]
     for i in range(1, 200):
         k = math.pi * i / 200.0
         inside = all(abs(monodromy_trace(p, k)) <= 2.0 for p in points)
@@ -239,7 +240,7 @@ def test_candidates_golden_mean_against_grid_oracle():
             min(abs(k - lo), abs(k - hi)) < 1e-3 for lo, hi in cand.intervals
         ) or any(
             min(abs(k - lo), abs(k - hi)) < 1e-3
-            for b in map(band_set, points)
+            for b in bands
             for lo, hi in b.intervals
         )
         if near_edge:
