@@ -65,7 +65,6 @@ from .sft import (
 )
 from .spectra import (
     BandSet,
-    TraceCurve,
     band_set,
     exceptional_candidates,
     gaps,

@@ -243,6 +243,8 @@ def run_subcommand(
     if name == "verify-graph":
         if k is None:
             raise ParseError("verify-graph requires --k")
+        if seed is not None and seed < 0:
+            raise ParseError(f"--seed: need seed >= 0, got {seed}")
         window_seed = seed if seed is not None else config.mc.seed
         first, last = VERIFY_GRAPH_WINDOW
         word = sample_window(config.measure, first, last, window_seed)

@@ -2,10 +2,11 @@
 estimates, zero-exponent scans and the periodic-approximation diagnostic.
 
 The Monte-Carlo estimator runs ``n_samples`` independent windows of
-``n_steps`` steps each.  Sample ``i`` draws its letters exactly as
-``measure.sample_window(measure, -1, n_steps - 1, seed=(seed, i))`` would
-(the documented splitting rule), multiplies the per-step matrices with
-max-entry renormalization once per L-step word, and reports
+``n_steps`` steps each.  Sample ``i`` is lane ``i`` of the sampler in
+:mod:`sftlab.measure`, seeded with ``(seed, i)``, so its letters are those of
+``sample_window(measure, -1, n_steps - 1, seed=(seed, i))`` by construction.
+It multiplies the per-step matrices with max-entry renormalization once per
+L-step word, and reports
 
     rate_i = (accumulated log scale + log spectral norm of the residual) / n_steps.
 
@@ -32,11 +33,10 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .cocycle import ScaledMat2, a_matrix
-from .measure import MarkovMeasure
+from .measure import _BLOCK, MarkovMeasure, _lane_blocks  # noqa: F401  (_BLOCK: pair-block length)
 from .sft import PeriodicPoint, enumerate_periodic_points
 from .spectra import monodromy_trace
 
-_BLOCK = 1024
 _WORD_TABLE_MAX = 512
 
 
@@ -99,30 +99,17 @@ def _iter_pair_blocks(
     measure: MarkovMeasure, n_steps: int, n_samples: int, seed: int
 ) -> Iterator[np.ndarray]:
     """Stream (n_samples, block) matrices of letter-pair indices
-    (prev-1)*l + (cur-1), drawing each sample's letters from its own
-    generator seeded with entropy (seed, sample_index)."""
+    (prev-1)*l + (cur-1) over the n_steps + 1 letters of each sample, drawn
+    by the lane sampler with entropy (seed, sample_index)."""
     l = measure.spec.alphabet_size
-    gens = [
-        np.random.Generator(np.random.PCG64(np.random.SeedSequence((int(seed), i))))
-        for i in range(n_samples)
-    ]
-    interior_rows = np.cumsum(measure.transition, axis=1)[:, :-1]
-    interior_stat = np.cumsum(measure.stationary)[:-1]
-    u0 = np.array([g.random() for g in gens])
-    cur = np.sum(u0[:, None] >= interior_stat[None, :], axis=1)
-    done = 0
-    while done < n_steps:
-        b = min(_BLOCK, n_steps - done)
-        u = np.empty((n_samples, b))
-        for i, g in enumerate(gens):
-            u[i] = g.random(b)
-        pairs = np.empty((n_samples, b), dtype=np.intp)
-        for t in range(b):
-            nxt = np.sum(u[:, t][:, None] >= interior_rows[cur], axis=1)
-            pairs[:, t] = cur * l + nxt
-            cur = nxt
+    blocks = _lane_blocks(measure, [(int(seed), i) for i in range(n_samples)], n_steps + 1)
+    prev = next(blocks)[:, 0]
+    for pairs in blocks:  # letters, turned into pair indices in place
+        last = pairs[:, -1].copy()
+        pairs[:, 1:] += pairs[:, :-1] * l
+        pairs[:, 0] += prev * l
+        prev = last
         yield pairs
-        done += b
 
 
 def _step_table(measure: MarkovMeasure, k_values: Sequence[float]) -> np.ndarray:

@@ -8,11 +8,15 @@ per letter, picks the first letter by inverse CDF on the stationary vector and
 each subsequent letter by inverse CDF on the transition row of its
 predecessor.  Inverse CDF on cumulative weights ``cum`` maps a uniform ``u``
 to ``#{i < len(cum)-1 : cum[i] <= u}``.
+
+One sampler, :func:`_lane_blocks`, implements it for any number of lanes:
+:func:`sample_window` is its one-lane case, and Monte-Carlo samples are lanes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
@@ -20,6 +24,7 @@ from .errors import NotStochastic, SupportViolation
 from .sft import SubshiftSpec, Word
 
 _ROW_TOL = 1e-12
+_BLOCK = 1024
 
 
 @dataclass(frozen=True, eq=False)
@@ -71,31 +76,52 @@ def stationary_markov(spec: SubshiftSpec, transition) -> MarkovMeasure:
     return MarkovMeasure(spec, p, pi)
 
 
-def _pick(cum: np.ndarray, u: float) -> int:
-    """Inverse CDF: number of interior cumulative weights <= u."""
-    return int(np.sum(cum[:-1] <= u))
+def _lane_blocks(measure: MarkovMeasure, seeds, n_letters: int) -> Iterator[np.ndarray]:
+    """The contract's 0-based letters, n_letters per lane (one per seed), as new
+    (lanes, b) arrays: each lane's first letter alone, then up to _BLOCK letters."""
+    gens = [np.random.Generator(np.random.PCG64(np.random.SeedSequence(s))) for s in seeds]
+    interior_rows = np.cumsum(measure.transition, axis=1)[:, :-1]
+    u0 = np.array([g.random() for g in gens])
+    cur = np.sum(np.cumsum(measure.stationary)[None, :-1] <= u0[:, None], axis=1)
+    yield cur[:, None]
+    for done in range(1, n_letters, _BLOCK):
+        letters = _walk_block(gens, interior_rows, cur, min(_BLOCK, n_letters - done))
+        cur = letters[-1].copy()  # callers may change the block they get
+        yield letters.T
+
+
+def _walk_block(gens, interior_rows: np.ndarray, cur: np.ndarray, b: int) -> np.ndarray:
+    """The b letters after the letters cur in every lane, shape (b, lanes), by one
+    gather per step in nxt[t, lane*l + s] = lane*l + the letter after s at step t."""
+    l = len(interior_rows)
+    offsets = np.arange(len(gens)) * l
+    u = np.empty((b, len(gens), 1))
+    for i, g in enumerate(gens):
+        u[:, i, 0] = g.random(b)
+    nxt = np.tile(np.repeat(offsets, l), (b, 1))
+    for cum in interior_rows.T:
+        nxt += (cum <= u).reshape(b, -1)
+    out = np.empty((b, len(gens)), dtype=nxt.dtype)
+    idx = offsets + cur
+    for t in range(b):
+        idx = nxt[t][idx]
+        out[t] = idx
+    out -= offsets
+    return out
 
 
 def sample_window(measure: MarkovMeasure, first_index: int, last_index: int, seed) -> Word:
     """Draw a window of letters covering [first_index, last_index].
 
     Deterministic in (measure, indices, seed); see the module docstring for
-    the seed-to-stream mapping.
+    the seed-to-stream mapping.  This is the one-lane case of the sampler
+    the Monte-Carlo estimator uses.
     """
     if first_index > last_index:
         raise ValueError("first_index must be <= last_index")
-    length = last_index - first_index + 1
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
-    u = rng.random(length)
-    cum_stat = np.cumsum(measure.stationary)
-    cum_rows = np.cumsum(measure.transition, axis=1)
-    letters = np.empty(length, dtype=np.int64)
-    cur = _pick(cum_stat, u[0])
-    letters[0] = cur
-    for t in range(1, length):
-        cur = _pick(cum_rows[cur], u[t])
-        letters[t] = cur
-    return Word(tuple(int(a) + 1 for a in letters), first_index)
+    blocks = _lane_blocks(measure, [seed], last_index - first_index + 1)
+    letters = np.concatenate([block[0] for block in blocks])
+    return Word(tuple((letters + 1).tolist()), first_index)
 
 
 def cylinder_probability(measure: MarkovMeasure, word: Word) -> float:

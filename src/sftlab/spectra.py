@@ -8,20 +8,9 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .cocycle import canonical_cos, check_energy
+from .cocycle import _step_coefficients, canonical_cos, check_energy
 from .errors import ResolutionTooCoarse
 from .sft import PeriodicPoint, SubshiftSpec, enumerate_periodic_points
-
-
-@dataclass(frozen=True)
-class TraceCurve:
-    """k -> trace of the one-period product of a periodic point.  Depends on
-    k only through cos k and is a polynomial of degree n_p in cos k."""
-
-    periodic_point: PeriodicPoint
-
-    def __call__(self, k: float) -> float:
-        return monodromy_trace(self.periodic_point, k)
 
 
 @dataclass(frozen=True)
@@ -43,18 +32,8 @@ class BandSet:
 
 @lru_cache(maxsize=512)
 def _cycle_steps(letters: tuple[int, ...]) -> tuple[tuple[float, float, float], ...]:
-    """Per-step coefficients (alpha, beta, gamma) of the one-period product:
-    the step for pair (prev, cur) is [[alpha * cos k, beta], [gamma, 0]].
-    Matches the single-step matrix arithmetic bit for bit."""
-    n = len(letters)
-    out = []
-    for j in range(n):
-        prev = letters[(j - 1) % n]
-        cur = letters[j]
-        x = cur / prev
-        s = math.sqrt(x)
-        out.append((s * (1.0 + 1.0 / x), -s / x, s))
-    return tuple(out)
+    """Step coefficients (alpha, beta, gamma) of the one-period product."""
+    return tuple(_step_coefficients(letters[j - 1], letters[j]) for j in range(len(letters)))
 
 
 def monodromy_trace(p: PeriodicPoint, k: float) -> float:

@@ -141,6 +141,14 @@ def test_verify_graph_table(tmp_path):
     assert max(abs(r[1]) for r in table.rows) < 1e-9
 
 
+def test_verify_graph_negative_seed(tmp_path, capsys):
+    path = write_config(tmp_path, GOLDEN_CONFIG)
+    with pytest.raises(ParseError, match="--seed"):
+        run_subcommand("verify-graph", load_config(path), k=1.0, seed=-1)
+    assert main(["verify-graph", "--config", path, "--k", "1", "--seed", "-1"]) == 2
+    assert "--seed: need seed >= 0" in capsys.readouterr().err
+
+
 def test_unknown_subcommand(tmp_path):
     config = load_config(write_config(tmp_path, FULL_CONFIG))
     with pytest.raises(UnknownSubcommand):

@@ -14,9 +14,11 @@ from sftlab import (
     stationary_markov,
     validate_spec,
 )
+from sftlab.lyapunov import _BLOCK
 
 FULL = validate_spec(2, [])
 GOLDEN = validate_spec(2, [(2, 2)])
+THREE = validate_spec(3, [(2, 2), (3, 1)])
 
 
 def full_uniform():
@@ -25,6 +27,29 @@ def full_uniform():
 
 def golden_half():
     return stationary_markov(GOLDEN, [[0.5, 0.5], [1.0, 0.0]])
+
+
+def three_markov():
+    return stationary_markov(THREE, [[0.2, 0.3, 0.5], [0.6, 0.0, 0.4], [0.0, 0.7, 0.3]])
+
+
+def contract_window(measure, length, seed):
+    """The documented sampling contract, literally and one letter at a time:
+    one uniform per letter, inverse CDF on the stationary vector for the
+    first letter and on the predecessor's transition row after it."""
+    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
+    u = rng.random(length)
+
+    def pick(cum, x):
+        return int(np.sum(cum[:-1] <= x))
+
+    cum_rows = np.cumsum(measure.transition, axis=1)
+    cur = pick(np.cumsum(measure.stationary), u[0])
+    letters = [cur + 1]
+    for t in range(1, length):
+        cur = pick(cum_rows[cur], u[t])
+        letters.append(cur + 1)
+    return tuple(letters)
 
 
 def test_stationary_full_uniform():
@@ -76,6 +101,27 @@ def test_sample_window_tuple_seed():
     mu = full_uniform()
     assert sample_window(mu, 0, 9, (7, 3)) == sample_window(mu, 0, 9, (7, 3))
     assert sample_window(mu, 0, 9, (7, 3)) != sample_window(mu, 0, 9, (7, 4))
+
+
+@pytest.mark.parametrize("make", [full_uniform, golden_half, three_markov])
+def test_sample_window_matches_contract_reference(make):
+    mu = make()
+    # lengths 1 (first letter only), 51 (one short block) and 2*_BLOCK + 37
+    # (whole blocks and a short last one)
+    for seed in (2024, (7, 3)):
+        for length in (1, 51, 2 * _BLOCK + 37):
+            assert sample_window(mu, -1, length - 2, seed).letters == contract_window(mu, length, seed)
+    # many seeds spread the first uniforms over [0, 1), so the first letter's
+    # inverse CDF is exercised between every pair of weights
+    for seed in [*range(32), *((7, i) for i in range(32))]:
+        assert sample_window(mu, 0, 2, seed).letters == contract_window(mu, 3, seed)
+
+
+def test_sample_window_pinned_letters():
+    # the first 40 golden-mean letters at seed (7, 3), as the per-letter
+    # implementation of the contract drew them
+    w = sample_window(golden_half(), 0, 39, (7, 3))
+    assert "".join(map(str, w.letters)) == "2112121121111121211211112112111212121212"
 
 
 def test_golden_samples_avoid_forbidden_word():

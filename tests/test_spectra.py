@@ -12,7 +12,6 @@ from sftlab import (
     ParabolicOrCentral,
     PeriodicPoint,
     ResolutionTooCoarse,
-    TraceCurve,
     band_set,
     cocycle_product,
     eigendirections,
@@ -69,11 +68,6 @@ def test_monodromy_trace_alternating_closed_form():
 
 def test_monodromy_trace_at_half_pi():
     assert monodromy_trace(P12, math.pi / 2.0) == pytest.approx(-2.5, abs=1e-12)
-
-
-def test_trace_curve_wraps_point():
-    curve = TraceCurve(P12)
-    assert curve(1.1) == monodromy_trace(P12, 1.1)
 
 
 def test_trace_depends_only_on_cos():
