@@ -139,21 +139,15 @@ def check_energy(k: float):
         raise SingularEnergy(f"k = {k} is an integer multiple of pi within {_SIN_TOL}")
 
 
-def _step_coefficients(prev: int, cur: int) -> tuple[float, float, float]:
-    """(alpha, beta, gamma) with A = [[alpha * cos k, beta], [gamma, 0]] the
-    single-step matrix for the letter pair (prev, cur)."""
-    x = cur / prev
-    s = math.sqrt(x)
-    return s * (1.0 + 1.0 / x), -s / x, s
-
-
 def a_matrix(k: float, prev: int, cur: int) -> Mat2:
     """Single-step transfer matrix for the letter pair (w_{-1}, w_0) = (prev, cur)."""
     check_energy(k)
     if prev < 1 or cur < 1:
         raise ValueError("letters must be positive integers")
-    alpha, beta, gamma = _step_coefficients(prev, cur)
-    return Mat2(alpha * canonical_cos(k), beta, gamma, 0.0)
+    c = canonical_cos(k)
+    x = cur / prev
+    s = math.sqrt(x)
+    return Mat2(s * (1.0 + 1.0 / x) * c, -s / x, s, 0.0)
 
 
 def cocycle_product(k: float, word: Word) -> ScaledMat2:

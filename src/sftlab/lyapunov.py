@@ -33,7 +33,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .cocycle import ScaledMat2, a_matrix
-from .measure import _BLOCK, MarkovMeasure, _lane_blocks  # noqa: F401  (_BLOCK: pair-block length)
+from .measure import MarkovMeasure, _lane_blocks
 from .sft import PeriodicPoint, enumerate_periodic_points
 from .spectra import monodromy_trace
 

@@ -6,9 +6,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
-from .cocycle import _step_coefficients, canonical_cos, check_energy
+from .cocycle import canonical_cos, check_energy
 from .errors import ResolutionTooCoarse
 from .sft import PeriodicPoint, SubshiftSpec, enumerate_periodic_points
 
@@ -30,38 +29,36 @@ class BandSet:
         return any(lo - slack <= k <= hi + slack for lo, hi in self.intervals)
 
 
-@lru_cache(maxsize=512)
-def _cycle_steps(letters: tuple[int, ...]) -> tuple[tuple[float, float, float], ...]:
-    """Step coefficients (alpha, beta, gamma) of the one-period product."""
-    return tuple(_step_coefficients(letters[j - 1], letters[j]) for j in range(len(letters)))
-
-
 def monodromy_trace(p: PeriodicPoint, k: float) -> float:
-    """Trace of the one-period product, accumulated with max-entry
-    renormalization every step and reconstructed at the end (entries stay in
-    range at desk-scale periods)."""
+    """Trace of the one-period product.
+
+    Each step matrix of :func:`sftlab.cocycle.a_matrix` is
+    sqrt(cur/prev) / cur * [[(cur+prev) c, -prev], [cur, 0]] with c = cos k.
+    Around a whole cycle the sqrt(cur/prev) factors telescope to 1, so the
+    trace is that of the product of the integer-coefficient matrices, divided
+    once by the product of the letters.  At c = 0 (k = pi/2) every entry is
+    an exact integer, so bands that touch there read |trace| = 2 exactly.
+    Entries are bounded by (3 * alphabet_size)**period, so the result stays
+    finite far past any enumerable period and needs no renormalization.
+    """
     check_energy(k)
     c = canonical_cos(k)
+    letters = p.cycle.letters
     m11, m12, m21, m22 = 1.0, 0.0, 0.0, 1.0
-    log_scale = 0.0
-    for alpha, beta, gamma in _cycle_steps(p.cycle.letters):
-        a11 = alpha * c
-        n11 = a11 * m11 + beta * m21
-        n12 = a11 * m12 + beta * m22
-        n21 = gamma * m11
-        n22 = gamma * m12
-        mag = max(abs(n11), abs(n12), abs(n21), abs(n22))
-        log_scale += math.log(mag)
-        m11, m12, m21, m22 = n11 / mag, n12 / mag, n21 / mag, n22 / mag
-    return math.exp(log_scale) * (m11 + m22)
+    prev = letters[-1]
+    for cur in letters:
+        a = (cur + prev) * c
+        m11, m12, m21, m22 = a * m11 - prev * m21, a * m12 - prev * m22, cur * m11, cur * m12
+        prev = cur
+    return (m11 + m22) / math.prod(letters)
 
 
 def _bisect_edge(f, lo: float, hi: float, f_lo: float, tol: float) -> float:
-    """Locate the sign change of f in [lo, hi] to within tol."""
-    below = f_lo < 0.0
+    """Locate where f <= 0 switches in [lo, hi] to within tol."""
+    below = f_lo <= 0.0
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
-        if (f(mid) < 0.0) == below:
+        if (f(mid) <= 0.0) == below:
             lo = mid
         else:
             hi = mid
@@ -79,12 +76,12 @@ def _cell_crossings(f, lo: float, hi: float, f_lo: float, f_hi: float, tol: floa
     f_mid = f(mid)
     out = []
     for a, b, fa, fb in ((lo, mid, f_lo, f_mid), (mid, hi, f_mid, f_hi)):
-        if (fa < 0.0) != (fb < 0.0):
+        if (fa <= 0.0) != (fb <= 0.0):
             out.append(_bisect_edge(f, a, b, fa, tol))
         else:
             q = 0.5 * (a + b)
             fq = f(q)
-            if (fq < 0.0) != (fa < 0.0):
+            if (fq <= 0.0) != (fa <= 0.0):
                 raise ResolutionTooCoarse(
                     f"two band edges inside one refined cell [{a}, {b}]; increase grid_points"
                 )
@@ -93,8 +90,10 @@ def _cell_crossings(f, lo: float, hi: float, f_lo: float, f_hi: float, tol: floa
 
 def band_set(p: PeriodicPoint, grid_points: int = 2001, tol: float = 1e-10) -> BandSet:
     """Closed intervals where |trace| <= 2, edges located by bisection of
-    |trace| - 2 on a uniform interior grid over (0, pi).  The endpoints 0 and
-    pi join a band when the adjacent cell lies inside one."""
+    |trace| - 2 on a uniform interior grid over (0, pi).  Every probe uses the
+    same closed test |trace| - 2 <= 0, so bands that touch at an exact trace
+    of +-2 stay one interval.  The endpoints 0 and pi join a band when the
+    adjacent cell lies inside one."""
     if grid_points < 64:
         raise ValueError("grid_points must be >= 64")
     if tol <= 0.0:
@@ -112,7 +111,7 @@ def band_set(p: PeriodicPoint, grid_points: int = 2001, tol: float = 1e-10) -> B
         crossings.extend(_cell_crossings(f, ks[i], ks[i + 1], fs[i], fs[i + 1], tol))
 
     intervals = []
-    inside = fs[0] < 0.0
+    inside = fs[0] <= 0.0
     lo = 0.0 if inside else None
     for x in crossings:
         if inside:

@@ -27,7 +27,8 @@ from sftlab import (
     validate_spec,
     zero_set_scan,
 )
-from sftlab.lyapunov import _BLOCK, _iter_pair_blocks, _mc_rates, _word_steps
+from sftlab.lyapunov import _iter_pair_blocks, _mc_rates, _word_steps
+from sftlab.measure import _BLOCK
 
 FULL = validate_spec(2, [])
 GOLDEN = validate_spec(2, [(2, 2)])

@@ -14,7 +14,7 @@ from sftlab import (
     stationary_markov,
     validate_spec,
 )
-from sftlab.lyapunov import _BLOCK
+from sftlab.measure import _BLOCK
 
 FULL = validate_spec(2, [])
 GOLDEN = validate_spec(2, [(2, 2)])

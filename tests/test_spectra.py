@@ -4,6 +4,7 @@ intersection."""
 
 import math
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -27,6 +28,7 @@ from sftlab.spectra import _cell_crossings
 
 FULL = validate_spec(2, [])
 GOLDEN = validate_spec(2, [(2, 2)])
+THREE = validate_spec(3, [(2, 2), (3, 1)])
 P1 = PeriodicPoint.from_letters((1,))
 P12 = PeriodicPoint.from_letters((1, 2))
 
@@ -279,3 +281,62 @@ def test_monodromy_trace_consistent_with_cocycle_product():
             k = rng.uniform(0.03, math.pi - 0.03)
             via_product = cocycle_product(k, p.window(-1, p.period - 1)).reconstruct().trace()
             assert monodromy_trace(p, k) == pytest.approx(via_product, rel=1e-12, abs=1e-12)
+
+
+def exact_trace(letters, c):
+    """Trace of the one-period product at cosine c (a Fraction), in exact
+    rationals: over a whole cycle the sqrt(cur/prev) factors of the step
+    matrices cancel, leaving the product of [[(1 + prev/cur) c, -prev/cur],
+    [1, 0]]."""
+    m11, m12, m21, m22 = Fraction(1), Fraction(0), Fraction(0), Fraction(1)
+    for j, cur in enumerate(letters):
+        r = Fraction(letters[j - 1], cur)
+        a = (1 + r) * c
+        m11, m12, m21, m22 = a * m11 - r * m21, a * m12 - r * m22, m11, m12
+    return m11 + m22
+
+
+def exact_trace_at(letters, k):
+    """exact_trace at the double cos k, snapped to 0 below 1e-12 as
+    canonical_cos does."""
+    c = math.cos(k)
+    return exact_trace(letters, Fraction(0) if abs(c) < 1e-12 else Fraction(c))
+
+
+def band_structure_violations(p):
+    """Floquet invariants of one point's band set: a period-n point has n
+    bands counting closed gaps, so at most n intervals; every band midpoint
+    has |trace| <= 2 and every gap midpoint |trace| > 2 (exact traces); and
+    where the exact trace at pi/2 is +-2 the computed one is exactly +-2."""
+    letters = p.cycle.letters
+    b = band_set(p)
+    out = []
+    if len(b.intervals) > p.period:
+        out.append(f"{len(b.intervals)} intervals for period {p.period}")
+    for lo, hi in b.intervals:
+        if abs(exact_trace_at(letters, 0.5 * (lo + hi))) > 2:
+            out.append(f"band [{lo}, {hi}] has |trace| > 2 at its midpoint")
+    for lo, hi in gaps(b).intervals:
+        if abs(exact_trace_at(letters, 0.5 * (lo + hi))) <= 2:
+            out.append(f"gap [{lo}, {hi}] has |trace| <= 2 at its midpoint")
+    exact, got = exact_trace(letters, Fraction(0)), monodromy_trace(p, math.pi / 2.0)
+    if abs(exact) == 2 and got != float(exact):
+        out.append(f"trace at pi/2 is {got!r}, exactly {exact}")
+    return out
+
+
+@pytest.mark.parametrize("spec, max_period", [(FULL, 7), (GOLDEN, 8), (THREE, 6)], ids=["full", "golden", "three"])
+def test_band_structure_invariants(spec, max_period):
+    # touching bands at pi/2 (monodromy +-Id there) must stay one interval
+    bad = {}
+    for p in enumerate_periodic_points(spec, max_period):
+        problems = band_structure_violations(p)
+        if problems:
+            bad[p.cycle.letters] = problems
+    assert not bad
+
+
+@pytest.mark.xfail(strict=True, reason="bands of (1,1,1,1,2,2,2,2) touch at pi/4, where cos k is irrational, "
+                                       "and the float trace splits them by about 2e-9")
+def test_band_structure_touching_at_quarter_pi():
+    assert band_structure_violations(PeriodicPoint.from_letters((1, 1, 1, 1, 2, 2, 2, 2))) == []
