@@ -31,7 +31,6 @@ from .errors import (
     ParabolicOrCentral,
     ParseError,
     RangeMismatch,
-    ResolutionTooCoarse,
     SftlabError,
     SingularEnergy,
     SupportViolation,

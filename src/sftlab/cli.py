@@ -12,8 +12,9 @@ Config files are JSON with the shape::
       "exclusion_halfwidth": 0.02
     }
 
-Floats in CSV output carry 17 significant digits, so tables round-trip
-exactly and identical configs give byte-identical files.
+``bands.grid_points`` is validated (>= 64) but ignored: band edges are exact
+to ``bands.tol``.  Floats in CSV output carry 17 significant digits, so
+tables round-trip exactly and identical configs give byte-identical files.
 """
 
 from __future__ import annotations
@@ -28,13 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cocycle import solve_difference
-from .errors import (
-    ParseError,
-    ResolutionTooCoarse,
-    SftlabError,
-    SingularEnergy,
-    UnknownSubcommand,
-)
+from .errors import ParseError, SftlabError, SingularEnergy, UnknownSubcommand
 from .graph_model import VertexData, kirchhoff_residual
 from .lyapunov import McParams, kalinin_profile, lyapunov_mc_grid, zero_set_scan
 from .measure import MarkovMeasure, sample_window, stationary_markov
@@ -42,8 +37,6 @@ from .sft import SubshiftSpec, enumerate_periodic_points, validate_spec
 from .spectra import band_set, exceptional_candidates
 
 SUBCOMMANDS = ("periodic", "bands", "lyapunov", "zeroset", "candidates", "kalinin", "verify-graph")
-
-_NUMERIC_ERRORS_EXIT_3 = (ResolutionTooCoarse, SingularEnergy)
 
 VERIFY_GRAPH_WINDOW = (-1, 48)
 VERIFY_GRAPH_DATA = (1.0, 0.5)  # (u0, um1)
@@ -285,7 +278,7 @@ def main(argv=None) -> int:
             seed=getattr(args, "seed", None),
             max_period=getattr(args, "max_period", None),
         )
-    except _NUMERIC_ERRORS_EXIT_3 as exc:
+    except SingularEnergy as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except (SftlabError, OSError, ValueError) as exc:

@@ -50,10 +50,6 @@ class ParabolicOrCentral(SftlabError):
         self.central = central
 
 
-class ResolutionTooCoarse(SftlabError):
-    """Band-edge crossings could not be separated on the requested grid."""
-
-
 class ParseError(SftlabError):
     """A config file is malformed or fails schema validation."""
 

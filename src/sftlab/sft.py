@@ -8,10 +8,9 @@ or on the cyclic extension of a :class:`PeriodicPoint`.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import EmptySubshift, NotTransitive, RangeMismatch
 
@@ -204,22 +203,35 @@ def is_admissible(spec: SubshiftSpec, word: Word) -> bool:
     )
 
 
+def _lyndon_words(alphabet_size: int, max_length: int) -> Iterator[tuple[int, ...]]:
+    """Every Lyndon word over 1..alphabet_size of length <= max_length, in
+    lexicographic order (Duval 1983): a word that is strictly smaller than
+    all its rotations, i.e. the canonical rotation of a primitive cycle."""
+    w = [1]
+    while w:
+        yield tuple(w)
+        n = len(w)
+        while len(w) < max_length:
+            w.append(w[len(w) - n])
+        while w and w[-1] == alphabet_size:
+            w.pop()
+        if w:
+            w[-1] += 1
+
+
 def enumerate_periodic_points(spec: SubshiftSpec, max_period: int) -> list[PeriodicPoint]:
     """All primitive admissible cycles of length <= max_period, one canonical
-    rotation each, sorted by (period, cycle)."""
+    rotation each, sorted by (period, cycle).  The canonical rotation of a
+    primitive cycle is its Lyndon word, so the candidates are generated
+    directly and only cyclic admissibility is filtered."""
     if max_period < 1:
         raise ValueError("max_period must be >= 1")
-    points = []
-    for n in range(1, max_period + 1):
-        for letters in itertools.product(spec.letters, repeat=n):
-            if letters != _canonical_rotation(letters):
-                continue
-            if not _is_primitive(letters):
-                continue
-            if not all(spec.allows(letters[i], letters[(i + 1) % n]) for i in range(n)):
-                continue
-            points.append(PeriodicPoint(Word(letters, 0), n))
-    return points
+    points = [
+        PeriodicPoint(Word(w, 0), len(w))
+        for w in _lyndon_words(spec.alphabet_size, max_period)
+        if all(spec.allowed[a - 1][b - 1] for a, b in zip(w, w[1:] + w[:1]))
+    ]
+    return sorted(points, key=lambda p: (p.period, p.cycle.letters))
 
 
 def metric(w: Word, w2: Word) -> MetricValue:

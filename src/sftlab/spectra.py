@@ -1,6 +1,13 @@
 """Monodromy traces of periodic points, band/gap structure on [0, pi] in the
 k variable, interval intersections, and the finite-period outer approximation
-of the zero-exponent candidate set."""
+of the zero-exponent candidate set.
+
+Band edges come from the integer trace polynomial, not from a grid: the
+trace of a period-n point is P(c) / W with P of degree n in c = cos k and W
+the product of the letters.  Its gcd with its derivative, a Sturm sequence
+and dyadic bisection are all evaluated in Python integers, so touching bands
+(closed gaps) are found exactly and no band can be missed.
+"""
 
 from __future__ import annotations
 
@@ -8,15 +15,14 @@ import math
 from dataclasses import dataclass
 
 from .cocycle import canonical_cos, check_energy
-from .errors import ResolutionTooCoarse
 from .sft import PeriodicPoint, SubshiftSpec, enumerate_periodic_points
 
 
 @dataclass(frozen=True)
 class BandSet:
     """Finite union of disjoint closed subintervals of [0, pi] in the k
-    variable, with the grid step and bisection tolerance that located the
-    edges."""
+    variable, with the grid step (0.0 for the exact band sets of
+    :func:`band_set`) and the tolerance of the edges."""
 
     intervals: tuple[tuple[float, float], ...]
     resolution: float
@@ -53,76 +59,196 @@ def monodromy_trace(p: PeriodicPoint, k: float) -> float:
     return (m11 + m22) / math.prod(letters)
 
 
-def _bisect_edge(f, lo: float, hi: float, f_lo: float, tol: float) -> float:
-    """Locate where f <= 0 switches in [lo, hi] to within tol."""
-    below = f_lo <= 0.0
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if (f(mid) <= 0.0) == below:
-            lo = mid
+def _trace_poly(letters: tuple[int, ...]) -> list[int]:
+    """Integer coefficients, in ascending powers of c = cos k, of the trace of
+    the one-period product of the matrices [[(cur+prev) c, -prev], [cur, 0]]
+    (the recurrence of :func:`monodromy_trace`): the trace is this polynomial
+    divided by the product of the letters."""
+    m11, m12, m21, m22 = [1], [0], [0], [1]
+    prev = letters[-1]
+    for cur in letters:
+        a = cur + prev
+        new11 = [0] + [a * x for x in m11]
+        new12 = [0] + [a * x for x in m12]
+        for i, x in enumerate(m21):
+            new11[i] -= prev * x
+        for i, x in enumerate(m22):
+            new12[i] -= prev * x
+        m11, m12, m21, m22 = new11, new12, [cur * x for x in m11], [cur * x for x in m12]
+        prev = cur
+    return [x + (m22[i] if i < len(m22) else 0) for i, x in enumerate(m11)]
+
+
+def _derivative(a: list[int]) -> list[int]:
+    return [i * x for i, x in enumerate(a)][1:]
+
+
+def _primitive(a: list[int]) -> list[int]:
+    """a divided by the positive gcd of its coefficients."""
+    g = math.gcd(*a)
+    return [x // g for x in a]
+
+
+def _prem(a: list[int], b: list[int]) -> list[int]:
+    """A positive integer multiple of the remainder of a divided by b: each
+    pseudo-division step scales by |lc(b)|, so signs are kept, as a Sturm
+    sequence needs."""
+    r = list(a)
+    lb = abs(b[-1])
+    sb = 1 if b[-1] > 0 else -1
+    while len(r) >= len(b):
+        lr = sb * r.pop()
+        shift = len(r) - len(b) + 1
+        r = [lb * x for x in r]
+        for i, y in enumerate(b[:-1]):
+            r[shift + i] -= lr * y
+        while r and r[-1] == 0:
+            r.pop()
+    return r
+
+
+def _gcd(a: list[int], b: list[int]) -> list[int]:
+    """Primitive greatest common divisor (primitive remainder sequence)."""
+    while b:
+        a, b = b, _prem(a, b)
+        if b:
+            b = _primitive(b)
+    return _primitive(a)
+
+
+def _exact_quo(a: list[int], b: list[int]) -> list[int]:
+    """Quotient of a by a primitive divisor b; by Gauss's lemma it has
+    integer coefficients."""
+    r = list(a)
+    q = [0] * (len(a) - len(b) + 1)
+    for i in range(len(q) - 1, -1, -1):
+        q[i] = r[i + len(b) - 1] // b[-1]
+        for j, y in enumerate(b):
+            r[i + j] -= q[i] * y
+    return q
+
+
+def _value(a: list[int], m: int, e: int) -> int:
+    """2**(e * deg a) * a(m / 2**e), exactly: its sign is that of a there."""
+    v = 0
+    shift = 0
+    for x in reversed(a):
+        v = v * m + (x << shift)
+        shift += e
+    return v
+
+
+def _variations(chain: list[list[int]], m: int, e: int) -> int:
+    """Sign changes of a Sturm sequence at m / 2**e, zeros skipped."""
+    count = 0
+    last = 0
+    for a in chain:
+        v = _value(a, m, e)
+        if v:
+            if last and (v > 0) != (last > 0):
+                count += 1
+            last = v
+    return count
+
+
+def _acos(m: int, e: int) -> float:
+    """acos(m / 2**e) for 0 <= m <= 2**e, from the exact 1 - c: acos itself
+    turns one ulp of c near +-1 into about 1e-8 of k."""
+    return 2.0 * math.asin(math.sqrt(((1 << e) - m) / (1 << (e + 1))))
+
+
+def _refine(h: list[int], lo: int, hi: int, e: int, tol: float) -> float:
+    """k = acos(c) of the one root c of h in (lo / 2**e, hi / 2**e], to
+    within tol, by bisection on dyadic rationals.  The loop ends at the
+    latest when both ends of the bracket round to the same k."""
+    s = _value(h, hi, e)
+    if s == 0:
+        return _acos(hi, e)
+    k_lo, k_hi = _acos(lo, e), _acos(hi, e)
+    while k_lo - k_hi > tol:
+        lo, hi, e = 2 * lo, 2 * hi, e + 1
+        mid = lo + 1
+        v = _value(h, mid, e)
+        if v == 0:
+            return _acos(mid, e)
+        if (v > 0) == (s > 0):
+            hi, k_hi = mid, _acos(mid, e)
         else:
-            hi = mid
-    return 0.5 * (lo + hi)
+            lo, k_lo = mid, _acos(mid, e)
+    return 0.5 * (k_lo + k_hi)
 
 
-def _cell_crossings(f, lo: float, hi: float, f_lo: float, f_hi: float, tol: float) -> list[float]:
-    """Crossings of f inside one grid cell, in ascending order.
-
-    A midpoint probe catches a crossing pair hiding in a single cell; one
-    further refinement level (quarter points) must separate any pair, else the
-    structure is finer than the grid can support.
-    """
-    mid = 0.5 * (lo + hi)
-    f_mid = f(mid)
+def _edges_above_zero(h: list[int], tol: float) -> list[float]:
+    """acos of every root of the square-free h in (0, 1], ascending in k:
+    the roots are isolated with a Sturm sequence on dyadic intervals
+    (lo / 2**e, hi / 2**e] and then refined one by one."""
+    chain = [h, _derivative(h)]
+    while len(chain[-1]) > 1:
+        chain.append([-x for x in _primitive(_prem(chain[-2], chain[-1]))])
     out = []
-    for a, b, fa, fb in ((lo, mid, f_lo, f_mid), (mid, hi, f_mid, f_hi)):
-        if (fa <= 0.0) != (fb <= 0.0):
-            out.append(_bisect_edge(f, a, b, fa, tol))
-        else:
-            q = 0.5 * (a + b)
-            fq = f(q)
-            if (fq <= 0.0) != (fa <= 0.0):
-                raise ResolutionTooCoarse(
-                    f"two band edges inside one refined cell [{a}, {b}]; increase grid_points"
-                )
-    return out
+    stack = [(0, 1, 0, _variations(chain, 0, 0), _variations(chain, 1, 0))]
+    while stack:
+        lo, hi, e, v_lo, v_hi = stack.pop()
+        if v_lo - v_hi == 1:
+            out.append(_refine(h, lo, hi, e, tol))
+        elif v_lo - v_hi > 1:
+            lo, hi, e = 2 * lo, 2 * hi, e + 1
+            v_mid = _variations(chain, lo + 1, e)
+            stack.append((lo, lo + 1, e, v_lo, v_mid))
+            stack.append((lo + 1, hi, e, v_mid, v_hi))
+    return sorted(out)
 
 
 def band_set(p: PeriodicPoint, grid_points: int = 2001, tol: float = 1e-10) -> BandSet:
-    """Closed intervals where |trace| <= 2, edges located by bisection of
-    |trace| - 2 on a uniform interior grid over (0, pi).  Every probe uses the
-    same closed test |trace| - 2 <= 0, so bands that touch at an exact trace
-    of +-2 stay one interval.  The endpoints 0 and pi join a band when the
-    adjacent cell lies inside one."""
+    """Closed intervals of k where |trace| <= 2, each edge within tol.
+
+    The trace is P(c) / W, with P the integer polynomial of
+    :func:`_trace_poly` and W the product of the letters, so the bands are
+    {c in [-1, 1] : F(c) <= 0} with F = P**2 - 4 W**2.  By Floquet theory
+    the 2n roots of F are real, lie in [-1, 1] and have multiplicity at most
+    two (Teschl, Jacobi Operators and Completely Integrable Nonlinear
+    Lattices, 2000, ch. 7).  F is even: the step matrix at -c is -D M D with
+    D = diag(1, -1), so P(-c) = (-1)**n P(c).  The double roots of F, the
+    roots of gcd(F, F'), are touching bands (closed gaps) and stay inside
+    one interval; the band edges are the roots of H = F / gcd(F, F')**2,
+    where F changes sign.  They are isolated in (0, 1] and mirrored to
+    k -> pi - k.  Everything up to the final acos is integer arithmetic, so
+    bands merge wherever they touch (pi/2, pi/4, ...) and none is missed.
+
+    ``grid_points`` is validated (>= 64) but otherwise ignored: no grid is
+    used, and the result stores ``resolution = 0.0``.
+    """
     if grid_points < 64:
         raise ValueError("grid_points must be >= 64")
     if tol <= 0.0:
         raise ValueError("tol must be positive")
+    letters = p.cycle.letters
+    trace = _trace_poly(letters)
+    f = [0] * (2 * len(trace) - 1)
+    for i, x in enumerate(trace):
+        for j, y in enumerate(trace):
+            f[i + j] += x * y
+    f[0] -= 4 * math.prod(letters) ** 2
+    g = _gcd(f, _derivative(f))
+    h = _exact_quo(_exact_quo(f, g), g)
 
-    def f(k: float) -> float:
-        return abs(monodromy_trace(p, k)) - 2.0
-
-    step = math.pi / (grid_points + 1)
-    ks = [step * (i + 1) for i in range(grid_points)]
-    fs = [f(k) for k in ks]
-
-    crossings = []
-    for i in range(grid_points - 1):
-        crossings.extend(_cell_crossings(f, ks[i], ks[i + 1], fs[i], fs[i + 1], tol))
-
+    # H is even with H(0) != 0 (F has even multiplicity at 0), and its sign
+    # flips at each root, so its sign between the largest root in (0, 1]
+    # and c = 1, where the sweep from k = 0 starts, follows from H(0) and
+    # the root count.
+    ks = _edges_above_zero(h, tol)
+    inside = (h[0] < 0) == (len(ks) % 2 == 0)
     intervals = []
-    inside = fs[0] <= 0.0
     lo = 0.0 if inside else None
-    for x in crossings:
+    for x in ks + [math.pi - k for k in reversed(ks)]:
         if inside:
             intervals.append((lo, x))
-            lo = None
         else:
             lo = x
         inside = not inside
     if inside:
         intervals.append((lo, math.pi))
-    return BandSet(tuple(intervals), step, tol)
+    return BandSet(tuple(intervals), 0.0, tol)
 
 
 def gaps(b: BandSet) -> BandSet:
@@ -166,7 +292,8 @@ def intersect(bands: list[BandSet]) -> BandSet:
 def h_tilde_bands(p: PeriodicPoint, grid_points: int = 2001, tol: float = 1e-10) -> list[tuple[float, float]]:
     """Spectrum of the weighted discrete hopping operator with weights
     p_n/(p_n + p_{n-1}): the image of the k-bands under the order-reversing
-    map k -> cos k, as closed subintervals of [-1, 1]."""
+    map k -> cos k, as closed subintervals of [-1, 1].  ``grid_points`` is
+    validated and ignored, as in :func:`band_set`."""
     b = band_set(p, grid_points, tol)
     out = [(max(-1.0, math.cos(hi)), min(1.0, math.cos(lo))) for lo, hi in b.intervals]
     return sorted(out)
@@ -177,6 +304,7 @@ def exceptional_candidates(
 ) -> BandSet:
     """Intersection of the band sets of every primitive periodic point with
     period <= max_period: an outer approximation, monotone non-increasing in
-    max_period, of the set of energies where the exponent can vanish."""
+    max_period, of the set of energies where the exponent can vanish.
+    ``grid_points`` is validated and ignored, as in :func:`band_set`."""
     points = enumerate_periodic_points(spec, max_period)
     return intersect([band_set(p, grid_points, tol) for p in points])

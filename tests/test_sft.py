@@ -22,6 +22,7 @@ from sftlab import (
 
 FULL = validate_spec(2, [])
 GOLDEN = validate_spec(2, [(2, 2)])
+THREE = validate_spec(3, [(2, 2), (3, 1)])
 
 
 def brute_force_cycles(spec, max_period):
@@ -91,10 +92,42 @@ def test_enumerate_no_fixed_points():
     assert enumerate_periodic_points(spec, 1) == []
 
 
-@pytest.mark.parametrize("spec,max_period", [(FULL, 6), (GOLDEN, 7)])
+@pytest.mark.parametrize("spec,max_period", [(FULL, 6), (GOLDEN, 7), (THREE, 6)])
 def test_enumerate_matches_brute_force(spec, max_period):
     got = [p.cycle.letters for p in enumerate_periodic_points(spec, max_period)]
     assert got == brute_force_cycles(spec, max_period)
+
+
+def mobius(n):
+    out = 1
+    d = 2
+    while d * d <= n:
+        if n % d == 0:
+            n //= d
+            if n % d == 0:
+                return 0
+            out = -out
+        d += 1
+    return -out if n > 1 else out
+
+
+@pytest.mark.parametrize("spec,max_period", [(FULL, 14), (GOLDEN, 16), (THREE, 10)])
+def test_enumerate_counts_match_trace_formula(spec, max_period):
+    # primitive cycles of length n: (1/n) sum_{d | n} mu(n/d) tr(A^d), with A
+    # the 0-1 transition matrix, at periods where brute force does not reach
+    a = [[int(x) for x in row] for row in spec.allowed]
+    traces = []
+    power = a
+    for _ in range(max_period):
+        traces.append(sum(power[i][i] for i in range(len(a))))
+        power = [[sum(r[j] * a[j][c] for j in range(len(a))) for c in range(len(a))] for r in power]
+    counts = [0] * (max_period + 1)
+    for p in enumerate_periodic_points(spec, max_period):
+        counts[p.period] += 1
+    for n in range(1, max_period + 1):
+        total = sum(mobius(n // d) * traces[d - 1] for d in range(1, n + 1) if n % d == 0)
+        assert total % n == 0
+        assert counts[n] == total // n, f"period {n}"
 
 
 @pytest.mark.parametrize("spec,max_period", [(FULL, 5), (GOLDEN, 6)])

@@ -12,7 +12,6 @@ from sftlab import (
     BandSet,
     ParabolicOrCentral,
     PeriodicPoint,
-    ResolutionTooCoarse,
     band_set,
     cocycle_product,
     eigendirections,
@@ -24,7 +23,6 @@ from sftlab import (
     monodromy_trace,
     validate_spec,
 )
-from sftlab.spectra import _cell_crossings
 
 FULL = validate_spec(2, [])
 GOLDEN = validate_spec(2, [(2, 2)])
@@ -257,23 +255,6 @@ def test_candidates_monotone_in_period():
         prev = cur
 
 
-def test_resolution_too_coarse_detection():
-    # a crossing pair hiding inside one half-cell (revealed only by the
-    # quarter probe) must raise rather than silently drop a band
-    f = lambda k: (k - 0.95) ** 2 - 1e-14
-    with pytest.raises(ResolutionTooCoarse):
-        _cell_crossings(f, 0.9, 1.1, f(0.9), f(1.1), 1e-10)
-
-
-def test_cell_crossings_resolves_pair_split_by_midpoint():
-    # a pair straddling the midpoint is handled by the refinement
-    f = lambda k: (k - 1.0) ** 2 - 1e-6
-    roots = _cell_crossings(f, 0.9, 1.1, f(0.9), f(1.1), 1e-12)
-    assert len(roots) == 2
-    assert roots[0] == pytest.approx(0.999, abs=1e-9)
-    assert roots[1] == pytest.approx(1.001, abs=1e-9)
-
-
 def test_monodromy_trace_consistent_with_cocycle_product():
     rng = random.Random(47)
     for p in (P1, P12, PeriodicPoint.from_letters((1, 1, 2, 1, 2))):
@@ -283,51 +264,123 @@ def test_monodromy_trace_consistent_with_cocycle_product():
             assert monodromy_trace(p, k) == pytest.approx(via_product, rel=1e-12, abs=1e-12)
 
 
-def exact_trace(letters, c):
-    """Trace of the one-period product at cosine c (a Fraction), in exact
-    rationals: over a whole cycle the sqrt(cur/prev) factors of the step
-    matrices cancel, leaving the product of [[(1 + prev/cur) c, -prev/cur],
-    [1, 0]]."""
-    m11, m12, m21, m22 = Fraction(1), Fraction(0), Fraction(0), Fraction(1)
+def poly_add(a, b):
+    n = max(len(a), len(b))
+    return [(a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0) for i in range(n)]
+
+
+def poly_scale(x, a):
+    return [x * u for u in a]
+
+
+def poly_strip(a):
+    while a and a[-1] == 0:
+        a = a[:-1]
+    return a
+
+
+def poly_rem(a, b):
+    a = poly_strip(list(a))
+    while len(a) >= len(b):
+        q = a[-1] / b[-1]
+        shift = len(a) - len(b)
+        a = poly_strip([u - q * b[i - shift] if i >= shift else u for i, u in enumerate(a)][:-1])
+    return a
+
+
+def poly_gcd(a, b):
+    while b:
+        a, b = b, poly_rem(a, b)
+    return a
+
+
+def poly_derivative(a):
+    return [i * u for i, u in enumerate(a)][1:]
+
+
+def poly_at(a, c):
+    out = Fraction(0)
+    for u in reversed(a):
+        out = out * c + u
+    return out
+
+
+def exact_trace_poly(letters):
+    """Fraction coefficients, ascending in c = cos k, of the trace of the
+    one-period product: over a whole cycle the sqrt(cur/prev) factors of
+    the step matrices cancel, leaving the product of
+    [[(1 + prev/cur) c, -prev/cur], [1, 0]]."""
+    m11, m12, m21, m22 = [Fraction(1)], [Fraction(0)], [Fraction(0)], [Fraction(1)]
     for j, cur in enumerate(letters):
         r = Fraction(letters[j - 1], cur)
-        a = (1 + r) * c
-        m11, m12, m21, m22 = a * m11 - r * m21, a * m12 - r * m22, m11, m12
-    return m11 + m22
+        m11, m12, m21, m22 = (
+            poly_add([0] + poly_scale(1 + r, m11), poly_scale(-r, m21)),
+            poly_add([0] + poly_scale(1 + r, m12), poly_scale(-r, m22)),
+            m11,
+            m12,
+        )
+    return poly_strip(poly_add(m11, m22))
 
 
-def exact_trace_at(letters, k):
-    """exact_trace at the double cos k, snapped to 0 below 1e-12 as
+def roots_inside(a):
+    """Distinct real roots of a in the open interval (-1, 1) (Sturm)."""
+    if len(a) < 2:
+        return 0
+    chain = [a, poly_derivative(a)]
+    while len(chain[-1]) > 1:
+        chain.append(poly_scale(-1, poly_rem(chain[-2], chain[-1])))
+
+    def variations(x):
+        signs = [v for v in (poly_at(p, x) for p in chain) if v != 0]
+        return sum((u > 0) != (v > 0) for u, v in zip(signs, signs[1:]))
+
+    return variations(Fraction(-1)) - variations(Fraction(1)) - (poly_at(a, Fraction(1)) == 0)
+
+
+def closed_gaps(trace):
+    """Touching bands: double roots in (-1, 1) of trace -+ 2, i.e. roots of
+    gcd(Q, Q') for Q = trace - 2 and Q = trace + 2."""
+    out = 0
+    for shift in (-2, 2):
+        q = poly_add(trace, [Fraction(shift)])
+        out += roots_inside(poly_gcd(q, poly_derivative(q)))
+    return out
+
+
+def exact_trace_at(trace, k):
+    """The exact trace at the double cos k, snapped to 0 below 1e-12 as
     canonical_cos does."""
     c = math.cos(k)
-    return exact_trace(letters, Fraction(0) if abs(c) < 1e-12 else Fraction(c))
+    return poly_at(trace, Fraction(0) if abs(c) < 1e-12 else Fraction(c))
 
 
 def band_structure_violations(p):
-    """Floquet invariants of one point's band set: a period-n point has n
-    bands counting closed gaps, so at most n intervals; every band midpoint
-    has |trace| <= 2 and every gap midpoint |trace| > 2 (exact traces); and
-    where the exact trace at pi/2 is +-2 the computed one is exactly +-2."""
-    letters = p.cycle.letters
+    """Floquet invariants of one point's band set: a period-n point has
+    exactly n bands counting closed gaps; every band midpoint has
+    |trace| <= 2 and every gap midpoint |trace| > 2 (exact traces); and
+    where the exact trace at pi/2 is +-2 the float trace is exactly +-2."""
+    trace = exact_trace_poly(p.cycle.letters)
     b = band_set(p)
     out = []
-    if len(b.intervals) > p.period:
-        out.append(f"{len(b.intervals)} intervals for period {p.period}")
+    closed = closed_gaps(trace)
+    if len(b.intervals) + closed != p.period:
+        out.append(f"{len(b.intervals)} intervals and {closed} closed gaps for period {p.period}")
     for lo, hi in b.intervals:
-        if abs(exact_trace_at(letters, 0.5 * (lo + hi))) > 2:
+        if abs(exact_trace_at(trace, 0.5 * (lo + hi))) > 2:
             out.append(f"band [{lo}, {hi}] has |trace| > 2 at its midpoint")
     for lo, hi in gaps(b).intervals:
-        if abs(exact_trace_at(letters, 0.5 * (lo + hi))) <= 2:
+        if abs(exact_trace_at(trace, 0.5 * (lo + hi))) <= 2:
             out.append(f"gap [{lo}, {hi}] has |trace| <= 2 at its midpoint")
-    exact, got = exact_trace(letters, Fraction(0)), monodromy_trace(p, math.pi / 2.0)
+    exact, got = trace[0], monodromy_trace(p, math.pi / 2.0)
     if abs(exact) == 2 and got != float(exact):
         out.append(f"trace at pi/2 is {got!r}, exactly {exact}")
     return out
 
 
-@pytest.mark.parametrize("spec, max_period", [(FULL, 7), (GOLDEN, 8), (THREE, 6)], ids=["full", "golden", "three"])
+@pytest.mark.parametrize("spec, max_period", [(FULL, 12), (GOLDEN, 14), (THREE, 6)], ids=["full", "golden", "three"])
 def test_band_structure_invariants(spec, max_period):
-    # touching bands at pi/2 (monodromy +-Id there) must stay one interval
+    # touching bands (monodromy +-Id, a double root of trace -+ 2) must stay
+    # one interval, and no band may be lost
     bad = {}
     for p in enumerate_periodic_points(spec, max_period):
         problems = band_structure_violations(p)
@@ -336,7 +389,10 @@ def test_band_structure_invariants(spec, max_period):
     assert not bad
 
 
-@pytest.mark.xfail(strict=True, reason="bands of (1,1,1,1,2,2,2,2) touch at pi/4, where cos k is irrational, "
-                                       "and the float trace splits them by about 2e-9")
 def test_band_structure_touching_at_quarter_pi():
-    assert band_structure_violations(PeriodicPoint.from_letters((1, 1, 1, 1, 2, 2, 2, 2))) == []
+    # bands of (1,1,1,1,2,2,2,2) touch at pi/2, pi/4 and 3pi/4, where
+    # gcd(Q+, Q+') = c (c^2 - 1/2): cos(pi/4) is irrational, so only exact
+    # root finding keeps them one interval
+    p = PeriodicPoint.from_letters((1, 1, 1, 1, 2, 2, 2, 2))
+    assert band_structure_violations(p) == []
+    assert len(band_set(p).intervals) == 5
