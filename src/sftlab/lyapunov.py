@@ -5,22 +5,27 @@ The Monte-Carlo estimator runs ``n_samples`` independent windows of
 ``n_steps`` steps each.  Sample ``i`` is lane ``i`` of the sampler in
 :mod:`sftlab.measure`, seeded with ``(seed, i)``, so its letters are those of
 ``sample_window(measure, -1, n_steps - 1, seed=(seed, i))`` by construction.
-It multiplies the per-step matrices with max-entry renormalization once per
-L-step word, and reports
+It multiplies the per-step matrices with max-entry renormalization and
+reports
 
     rate_i = (accumulated log scale + log spectral norm of the residual) / n_steps.
 
 The L-step products of every (L+1)-letter word are tabulated per energy from
 the single-step matrices, with L the longest length whose table has at most
-512 words (8 steps for two letters), so the product advances L steps per
-Python iteration.
+512 words (8 steps for two letters).  Each block the sampler yields (up to
+1024 steps) is gathered as one slot per word, one per leftover single step
+and identity padding up to a power of two, and multiplied as a balanced tree
+(later half on the left, renormalized every third level); the block's product
+then advances the running lane product.  Blocks are gathered in chunks of
+energies, or of lanes, of at most ``_GATHER_BUDGET`` elements.
 
 The estimate is the sample mean; stderr is the sample standard deviation over
 the independent rates divided by sqrt(n_samples).  Everything, the word
-tables included, is elementwise arithmetic per energy and per-sample lane, so
-results are bit-identical whether energies are estimated one at a time or
-batched on a grid, and identical at k and acos(cos k) because the letter
-streams never depend on k and the matrices are functions of the
+tables included, is elementwise arithmetic per energy and per-sample lane,
+and the tree's association order depends only on the block, never on the
+chunks, so results are bit-identical whether energies are estimated one at a
+time or batched on a grid, and identical at k and acos(cos k) because the
+letter streams never depend on k and the matrices are functions of the
 canonicalized cosine.
 """
 
@@ -38,14 +43,20 @@ from .sft import PeriodicPoint, enumerate_periodic_points
 from .spectra import monodromy_trace
 
 _WORD_TABLE_MAX = 512
+_GATHER_BUDGET = 1 << 18  # elements (2 MiB of float64) in one gathered block chunk
+_RENORM_LEVELS = 3
 
 
 def _word_steps(alphabet_size: int) -> int:
     """Steps per word-table entry: the longest L >= 1 with
     alphabet_size**(L+1) <= 512 (8 for two letters, 4 for three, 1 from 23
     letters on).  A step's rows have absolute sums below
-    2*sqrt(alphabet_size) + 1, and so do its inverse's, so renormalizing once
-    per L steps keeps every entry far inside double range."""
+    2*sqrt(alphabet_size) + 1, and so do its inverse's, so a word's entries
+    stay below (2*sqrt(l) + 1)**L (4.6e4 for two letters), and a product of
+    the 2**_RENORM_LEVELS words :func:`_tree_product` multiplies before its
+    first renormalization below (2*sqrt(l) + 1)**(8L): 2e37 for two letters,
+    and less for any larger alphabet up to 5e8 letters, far more than an
+    l*l step table can hold."""
     length = 1
     while alphabet_size ** (length + 2) <= _WORD_TABLE_MAX:
         length += 1
@@ -141,14 +152,13 @@ def _word_table(steps: np.ndarray, l: int, length: int) -> np.ndarray:
 
 def _mul(a: np.ndarray, m: np.ndarray) -> np.ndarray:
     """Elementwise 2x2 products a @ m over stacked (a11, a12, a21, a22) entries."""
-    return np.stack(
-        (
-            a[0] * m[0] + a[1] * m[2],
-            a[0] * m[1] + a[1] * m[3],
-            a[2] * m[0] + a[3] * m[2],
-            a[2] * m[1] + a[3] * m[3],
-        )
-    )
+    out = np.empty(np.broadcast_shapes(a.shape, m.shape))
+    tmp = np.empty(out.shape[1:])
+    for i in (0, 2):
+        for j in (0, 1):
+            np.multiply(a[i], m[j], out=out[i + j])
+            out[i + j] += np.multiply(a[i + 1], m[j + 2], out=tmp)
+    return out
 
 
 def _advance(a: np.ndarray, m: np.ndarray, logs: np.ndarray) -> np.ndarray:
@@ -159,34 +169,105 @@ def _advance(a: np.ndarray, m: np.ndarray, logs: np.ndarray) -> np.ndarray:
     return prod / mag
 
 
+def _block_slots(pairs: np.ndarray, l: int, length: int, step0: int, pad: int) -> np.ndarray:
+    """Indices into the combined table of a sampler block, shape (P, lanes) with
+    P the next power of two: its whole L-step words, then its leftover single
+    steps (table index step0 + pair), then identity padding (index pad), with
+    time t stored at row bitrev(t), so that the later half of every level of
+    :func:`_tree_product` is its upper half."""
+    b = pairs.shape[1]
+    whole = b - b % length
+    cur = np.take(np.arange(l * l) % l, pairs[:, :whole])  # faster than pairs % l
+    idx = pairs[:, 0:whole:length] * l ** (length - 1)
+    for i in range(1, length):
+        idx += cur[:, i::length] * l ** (length - 1 - i)
+    n = idx.shape[1] + b - whole
+    size = 1 << (n - 1).bit_length()
+    rev = np.zeros(1, dtype=np.intp)
+    while len(rev) < size:
+        rev = np.concatenate((2 * rev, 2 * rev + 1))
+    slots = np.full((size, pairs.shape[0]), pad, dtype=np.intp)
+    slots[: idx.shape[1]] = idx.T
+    slots[idx.shape[1] : n] = step0 + pairs[:, whole:].T
+    return slots[rev]
+
+
+def _tree_product(mats: np.ndarray, logs: np.ndarray) -> np.ndarray:
+    """Time-ordered product of the P slots of mats, shape (4, n_k, P, lanes) in
+    :func:`_block_slots` order, as a balanced tree: each level multiplies the
+    upper half (later times) onto the lower half.  Every _RENORM_LEVELS levels
+    below the root each slot is divided by its max entry, whose logs are
+    folded pairwise over the slots and added to logs (n_k, lanes) in place;
+    all of it is elementwise per energy and lane (a numpy sum over the slot
+    axis is not: its order follows the array's shape).
+
+    Entries stay in range: below the first renormalization they are bounded
+    as in :func:`_word_steps`; after it a slot has max entry 1 and row sums at
+    most 2, so _RENORM_LEVELS further levels give row sums at most 2**8, and
+    the root, renormalized by :func:`_advance`, no more."""
+    level = 0
+    while mats.shape[2] > 1:
+        h = mats.shape[2] // 2
+        mats = _mul(mats[:, :, h:], mats[:, :, :h])
+        level += 1
+        if level % _RENORM_LEVELS == 0 and h > 1:
+            mag = np.abs(mats).max(axis=0)
+            mats /= mag
+            lg = np.log(mag)
+            while lg.shape[1] > 1:
+                lg = lg[:, lg.shape[1] // 2 :] + lg[:, : lg.shape[1] // 2]
+            logs += lg[:, 0]
+    return mats[:, :, 0]
+
+
+def _chunks(n_k: int, n_lanes: int, slot_elements: int) -> Iterator[tuple[slice, slice]]:
+    """(energies, lanes) slices whose gathered blocks hold at most _GATHER_BUDGET
+    elements at slot_elements per energy and lane: runs of energies with every
+    lane while one energy fits, else runs of lanes of one energy."""
+    per_k = n_lanes * slot_elements
+    if per_k <= _GATHER_BUDGET:
+        step = _GATHER_BUDGET // per_k
+        for k0 in range(0, n_k, step):
+            yield slice(k0, k0 + step), slice(None)
+    else:
+        step = max(1, _GATHER_BUDGET // slot_elements)
+        for k0 in range(n_k):
+            for s0 in range(0, n_lanes, step):
+                yield slice(k0, k0 + 1), slice(s0, s0 + step)
+
+
 def _mc_rates(
     measure: MarkovMeasure, k_values: Sequence[float], n_steps: int, n_samples: int, seed: int
 ) -> np.ndarray:
     """Per-sample rates, shape (len(k_values), n_samples).
 
-    Each Python iteration applies the precomputed L-step product of one
-    (L+1)-letter word per lane, L = _word_steps(l), and renormalizes once;
-    the steps a block leaves over after its last whole word use the
-    single-step table."""
+    Each sampler block of up to _BLOCK steps becomes one slot per whole
+    (L+1)-letter word, L = _word_steps(l), one per leftover single step and
+    identity padding up to a power of two, gathered from one combined table
+    (words | steps | identity) per energy.  :func:`_tree_product` multiplies
+    the slots as a balanced tree and :func:`_advance` applies the block's
+    product to the running lane product.  The work runs in chunks of energies,
+    or of lanes, that keep each gathered array within _GATHER_BUDGET
+    elements; the association order depends only on the block, so the chunks
+    never change a bit of the result."""
     l = measure.spec.alphabet_size
     length = _word_steps(l)
     steps = _step_table(measure, k_values)
-    words = _word_table(steps, l, length)
+    eye = np.zeros((4, len(k_values), 1))
+    eye[0] = eye[3] = 1.0
+    table = np.concatenate((_word_table(steps, l, length), steps, eye), axis=2)
+    step0, pad = l ** (length + 1), table.shape[2] - 1
 
     m = np.zeros((4, len(k_values), n_samples))
     m[0] = m[3] = 1.0
     logs = np.zeros((len(k_values), n_samples))
 
     for pairs in _iter_pair_blocks(measure, n_steps, n_samples, seed):
-        b = pairs.shape[1]
-        whole = b - b % length
-        idx = pairs[:, 0:whole:length]
-        for i in range(1, length):
-            idx = idx * l + pairs[:, i:whole:length] % l
-        for j in range(idx.shape[1]):
-            m = _advance(words[:, :, idx[:, j]], m, logs)
-        for t in range(whole, b):
-            m = _advance(steps[:, :, pairs[:, t]], m, logs)
+        slots = _block_slots(pairs, l, length, step0, pad)
+        for ks, lanes in _chunks(len(k_values), n_samples, 4 * len(slots)):
+            mats = np.take(table[:, ks], slots[:, lanes], axis=2)
+            root = _tree_product(mats, logs[ks, lanes])
+            m[:, ks, lanes] = _advance(root, m[:, ks, lanes], logs[ks, lanes])
 
     q = m[0] * m[0] + m[1] * m[1] + m[2] * m[2] + m[3] * m[3]
     det = m[0] * m[3] - m[1] * m[2]

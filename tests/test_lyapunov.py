@@ -27,6 +27,7 @@ from sftlab import (
     validate_spec,
     zero_set_scan,
 )
+import sftlab.lyapunov as lyapunov_module
 from sftlab.lyapunov import _iter_pair_blocks, _mc_rates, _word_steps
 from sftlab.measure import _BLOCK
 
@@ -36,6 +37,8 @@ FULL_UNIFORM = stationary_markov(FULL, [[0.5, 0.5], [0.5, 0.5]])
 GOLDEN_HALF = stationary_markov(GOLDEN, [[0.5, 0.5], [1.0, 0.0]])
 THREE = validate_spec(3, [(2, 2), (3, 1)])
 THREE_MARKOV = stationary_markov(THREE, [[0.2, 0.3, 0.5], [0.6, 0.0, 0.4], [0.0, 0.7, 0.3]])
+FULL4_UNIFORM = stationary_markov(validate_spec(4, []), np.full((4, 4), 0.25))
+FULL25_UNIFORM = stationary_markov(validate_spec(25, []), np.full((25, 25), 0.04))
 P1 = PeriodicPoint.from_letters((1,))
 P12 = PeriodicPoint.from_letters((1, 2))
 LN2_OVER_2 = 0.34657359027997264
@@ -194,10 +197,13 @@ def test_word_steps_from_alphabet_size():
 def test_mc_rates_match_per_step_product():
     # oracle: the every-step renormalized scalar product on the sample's own
     # letters; 2*_BLOCK + 37 steps make the sampler's last block short, so
-    # the leftover single steps after the last whole word run as well
+    # the leftover single steps after the last whole word run as well.  On
+    # four letters (L = 3) a whole block is 341 words and 1 step, padded to
+    # 512 slots; on 25 letters (L = 1) every slot is a single step.
     n_steps, n_samples, seed = 2 * _BLOCK + 37, 4, 2024
     ks = [0.31, 1.2, math.pi / 2, 2.7]
-    for measure in (FULL_UNIFORM, GOLDEN_HALF, THREE_MARKOV):
+    assert [_word_steps(m.spec.alphabet_size) for m in (FULL4_UNIFORM, FULL25_UNIFORM)] == [3, 1]
+    for measure in (FULL_UNIFORM, GOLDEN_HALF, THREE_MARKOV, FULL4_UNIFORM, FULL25_UNIFORM):
         rates = _mc_rates(measure, ks, n_steps, n_samples, seed)
         assert rates.shape == (len(ks), n_samples)
         # words holding a forbidden pair are NaN in the table: never read
@@ -207,6 +213,50 @@ def test_mc_rates_match_per_step_product():
             for a, k in enumerate(ks):
                 oracle = growth_rate(cocycle_product(k, word), n_steps)
                 assert rates[a, i] == pytest.approx(oracle, rel=0, abs=1e-12)
+
+
+def _record_gathered(monkeypatch, record):
+    """Pass every gathered block array of _mc_rates, shape (4, n_k, P, lanes),
+    to record before its tree product."""
+    tree_product = lyapunov_module._tree_product
+
+    def spy(mats, logs):
+        record(mats)
+        return tree_product(mats, logs)
+
+    monkeypatch.setattr(lyapunov_module, "_tree_product", spy)
+
+
+@pytest.mark.parametrize("measure", [GOLDEN_HALF, THREE_MARKOV], ids=["golden", "three"])
+def test_mc_results_independent_of_gather_schedule(monkeypatch, measure):
+    # the tree's association order depends only on the sampler block, so a
+    # budget small enough to split the energies (last block) and the lanes
+    # (whole blocks) into several chunks leaves every bit unchanged
+    ks = [float(k) for k in np.linspace(0.2, 2.9, 12)]
+    n_steps, n_samples, seed = _BLOCK + 20, 6, 41
+    default_grid = lyapunov_mc_grid(measure, ks, n_steps, n_samples, seed)
+    default_single = [lyapunov_mc(measure, k, n_steps, n_samples, seed) for k in ks]
+
+    shapes = []
+    monkeypatch.setattr(lyapunov_module, "_GATHER_BUDGET", 1024)
+    _record_gathered(monkeypatch, lambda mats: shapes.append((mats.shape[1], mats.shape[3])))
+    small_grid = lyapunov_mc_grid(measure, ks, n_steps, n_samples, seed)
+    assert any(1 < n_k < len(ks) for n_k, _ in shapes)
+    assert any(lanes < n_samples for _, lanes in shapes)
+    small_single = [lyapunov_mc(measure, k, n_steps, n_samples, seed) for k in ks]
+    assert default_grid == default_single == small_grid == small_single
+
+
+def test_mc_gathered_blocks_stay_within_budget(monkeypatch):
+    # one energy at 1e5 lanes would gather about 400 MB per block without
+    # the lane chunks; here 2000 lanes must split into budget-sized runs
+    sizes = []
+    _record_gathered(monkeypatch, lambda mats: sizes.append(mats.size))
+    n_samples = 2000
+    rates = _mc_rates(FULL_UNIFORM, [1.0], 1000, n_samples, 3)
+    assert np.all(np.isfinite(rates))
+    assert len(sizes) > 1  # one energy, one sampler block: the lanes split
+    assert max(sizes) <= lyapunov_module._GATHER_BUDGET
 
 
 def _recursion_rates(measure, k, n_steps, n_samples, seed):
