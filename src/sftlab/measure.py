@@ -11,10 +11,24 @@ to ``#{i < len(cum)-1 : cum[i] <= u}``.
 
 One sampler, :func:`_lane_blocks`, implements it for any number of lanes:
 :func:`sample_window` is its one-lane case, and Monte-Carlo samples are lanes.
+
+The next letter depends on ``u`` only through its bucket
+``#{theta in Theta : theta <= u}``, where Theta is the sorted set of distinct
+interior cumulative transition weights strictly inside (0, 1): a weight
+``<= 0`` is always ``<= u`` and a weight ``>= 1`` never is, since ``u`` lies in
+[0, 1).  So there are only ``nb = len(Theta) + 1`` step maps.  Per call the
+sampler tabulates, for every letter and every code of k buckets, the k
+letters that follow, with k the longest chunk whose table has at most
+``min(256, letters to walk)`` codes (k = 8 with one threshold, as on the
+uniform full shift and on the golden mean with weights 1/2).  Each block of
+up to 1024 letters draws every lane's uniforms into a row, turns them into
+bucket codes, and walks the lanes with one table gather per k letters; one
+more gather emits the block.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -25,6 +39,7 @@ from .sft import SubshiftSpec, Word
 
 _ROW_TOL = 1e-12
 _BLOCK = 1024
+_CHUNK_TABLE_MAX = 256
 
 
 @dataclass(frozen=True, eq=False)
@@ -78,36 +93,93 @@ def stationary_markov(spec: SubshiftSpec, transition) -> MarkovMeasure:
 
 def _lane_blocks(measure: MarkovMeasure, seeds, n_letters: int) -> Iterator[np.ndarray]:
     """The contract's 0-based letters, n_letters per lane (one per seed), as new
-    (lanes, b) arrays: each lane's first letter alone, then up to _BLOCK letters."""
+    arrays: each lane's first letter alone, shape (lanes, 1), then blocks of
+    shape (lanes, b), b <= _BLOCK, walked by :func:`_walk_block` through the
+    tables :func:`_chunk_tables` builds once per call."""
     gens = [np.random.Generator(np.random.PCG64(np.random.SeedSequence(s))) for s in seeds]
-    interior_rows = np.cumsum(measure.transition, axis=1)[:, :-1]
-    u0 = np.array([g.random() for g in gens])
-    cur = np.sum(np.cumsum(measure.stationary)[None, :-1] <= u0[:, None], axis=1)
+    stationary_cum = np.cumsum(measure.stationary)[:-1].tolist()
+    cur = np.array([bisect_right(stationary_cum, g.random()) for g in gens], dtype=np.intp)
     yield cur[:, None]
+    theta, chunks, last = _chunk_tables(measure, n_letters - 1)
     for done in range(1, n_letters, _BLOCK):
-        letters = _walk_block(gens, interior_rows, cur, min(_BLOCK, n_letters - done))
-        cur = letters[-1].copy()  # callers may change the block they get
-        yield letters.T
+        letters = _walk_block(gens, theta, chunks, last, cur, min(_BLOCK, n_letters - done))
+        cur = letters[:, -1].copy()  # callers may change the block they get
+        yield letters
 
 
-def _walk_block(gens, interior_rows: np.ndarray, cur: np.ndarray, b: int) -> np.ndarray:
-    """The b letters after the letters cur in every lane, shape (b, lanes), by one
-    gather per step in nxt[t, lane*l + s] = lane*l + the letter after s at step t."""
-    l = len(interior_rows)
-    offsets = np.arange(len(gens)) * l
-    u = np.empty((b, len(gens), 1))
+def _chunk_tables(measure: MarkovMeasure, n_walk: int) -> tuple[list[float], np.ndarray, np.ndarray]:
+    """The thresholds Theta, sorted; chunks[s, code, i], the letter i+1 steps
+    after letter s when the k uniforms of a chunk fall in the buckets of code
+    (base nb = len(Theta) + 1, first step most significant); and
+    last[s*nb**k + code] = chunks[s, code, -1] * nb**k.  k is the longest
+    chunk with nb**k <= min(_CHUNK_TABLE_MAX, n_walk), at least 1, so a short
+    walk builds a small table.
+
+    A uniform u in bucket q steps s as every u in that bucket does, and so as
+    its smallest member: 0.0 for q = 0, Theta[q-1] after (module docstring).
+    Cumulative weights never decrease along a row, so bisect_right counts the
+    weights <= that member."""
+    interior_rows = np.cumsum(measure.transition, axis=1)[:, :-1].tolist()
+    theta = sorted({x for row in interior_rows for x in row if 0.0 < x < 1.0})
+    nb = len(theta) + 1
+    step = np.array([[bisect_right(row, x) for x in (0.0, *theta)] for row in interior_rows])
+    cap = min(_CHUNK_TABLE_MAX, n_walk)
+    k = 1
+    while k < cap and nb ** (k + 1) <= cap:
+        k += 1
+    l = len(step)
+    chunks = np.empty((l, nb**k, k), dtype=np.intp)
+    state = np.arange(l)[:, None]
+    for i in range(k):  # step i is the least significant digit of the codes so far
+        state = step[state[:, :, None], np.arange(nb)].reshape(l, -1)
+        chunks.reshape(l, nb ** (i + 1), -1, k)[:, :, :, i] = state[:, :, None]
+    return theta, chunks, (state * nb**k).ravel()
+
+
+def _walk_block(
+    gens, theta: list[float], chunks: np.ndarray, last: np.ndarray, cur: np.ndarray, b: int
+) -> np.ndarray:
+    """The b letters after the letters cur in every lane, shape (lanes, b).
+
+    Each lane's b uniforms are drawn into a row, padded with zeros (bucket 0)
+    to whole chunks of k, and become one bucket code per chunk, kept as
+    (chunks, lanes).  The walk takes one gather in last per chunk, where
+    index s*nb**k + code holds the chunk's end letter times nb**k, so there is
+    no loop per letter (one lane walks the same table on Python ints); one
+    gather of chunk rows then emits every letter."""
+    l, nbk, k = chunks.shape
+    lanes = len(gens)
+    u = np.empty((lanes, -(-b // k) * k))
+    u[:, b:] = 0.0
     for i, g in enumerate(gens):
-        u[:, i, 0] = g.random(b)
-    nxt = np.tile(np.repeat(offsets, l), (b, 1))
-    for cum in interior_rows.T:
-        nxt += (cum <= u).reshape(b, -1)
-    out = np.empty((b, len(gens)), dtype=nxt.dtype)
-    idx = offsets + cur
-    for t in range(b):
-        idx = nxt[t][idx]
-        out[t] = idx
-    out -= offsets
-    return out
+        g.random(out=u[i, :b])
+    q = _buckets(u, theta, np.min_scalar_type(nbk - 1)).reshape(lanes, -1, k)
+    del u  # the block's largest array: free it before the letters are gathered
+    code = q[:, :, 0].copy()
+    for i in range(1, k):  # Horner in base nb, first step most significant
+        code *= len(theta) + 1
+        code += q[:, :, i]
+    code = np.array(code.T, dtype=np.intp, order="C")
+    if lanes == 1:  # sample_window: on one lane, numpy's cost per call outweighs the work
+        table, pos, walk = last.tolist(), int(cur[0]) * nbk, code[:, 0].tolist()
+        for c, x in enumerate(walk):
+            walk[c] = pos = pos + x
+            pos = table[pos]
+        code[:, 0] = walk
+    else:
+        pos = cur * nbk
+        for row in code:
+            row += pos
+            pos = last[row]
+    return np.take(chunks.reshape(l * nbk, k), code.T, axis=0).reshape(lanes, -1)[:, :b]
+
+
+def _buckets(u: np.ndarray, theta: list[float], dtype) -> np.ndarray:
+    """#{t in theta : t <= u} for every uniform u, as dtype."""
+    q = np.zeros(u.shape, dtype=dtype)
+    for t in theta:
+        q += u >= t
+    return q
 
 
 def sample_window(measure: MarkovMeasure, first_index: int, last_index: int, seed) -> Word:

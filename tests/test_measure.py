@@ -1,6 +1,8 @@
 """Markov measures: stationarity, support checks, reproducible sampling and
 cylinder probabilities."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -14,7 +16,7 @@ from sftlab import (
     stationary_markov,
     validate_spec,
 )
-from sftlab.measure import _BLOCK
+from sftlab.measure import _BLOCK, _buckets, _chunk_tables, _lane_blocks
 
 FULL = validate_spec(2, [])
 GOLDEN = validate_spec(2, [(2, 2)])
@@ -31,6 +33,50 @@ def golden_half():
 
 def three_markov():
     return stationary_markov(THREE, [[0.2, 0.3, 0.5], [0.6, 0.0, 0.4], [0.0, 0.7, 0.3]])
+
+
+def zero_one_weights():
+    # forbidden pairs put interior cumulative weights at exactly 0.0 (row 1)
+    # and 1.0 (row 2); 0.5 repeats within row 3 and across all three rows
+    spec = validate_spec(3, [(1, 1), (2, 3), (3, 2)])
+    return stationary_markov(spec, [[0.0, 0.5, 0.5], [0.5, 0.5, 0.0], [0.5, 0.0, 0.5]])
+
+
+def three_bench():
+    # thresholds 1/3, 1/2, 2/3 with 1/2 in two rows and a 0.0 weight: nb = 4
+    return stationary_markov(THREE, [[1 / 3, 1 / 3, 1 / 3], [0.5, 0.0, 0.5], [0.0, 0.5, 0.5]])
+
+
+def skewed_three():
+    # six distinct thresholds: nb = 7, k = 2
+    spec = validate_spec(3, [])
+    return stationary_markov(spec, [[0.1, 0.2, 0.7], [0.45, 0.05, 0.5], [0.3, 0.3, 0.4]])
+
+
+def four_letters():
+    # ten distinct thresholds, 0.5 and 0.75 in two rows: nb = 11, k = 2
+    spec = validate_spec(4, [])
+    return stationary_markov(
+        spec,
+        [[0.1, 0.2, 0.3, 0.4], [0.25, 0.25, 0.25, 0.25], [0.05, 0.15, 0.35, 0.45], [0.5, 0.25, 0.15, 0.1]],
+    )
+
+
+def full_25():
+    # thresholds j/25: nb = 25, so k = 1
+    return stationary_markov(validate_spec(25, []), np.full((25, 25), 1.0 / 25.0))
+
+
+def random_17():
+    # 17 * 16 distinct thresholds: 273 buckets, more than a uint8 holds
+    p = np.random.default_rng(17).random((17, 17)) + 0.05
+    return stationary_markov(validate_spec(17, []), p / p.sum(axis=1, keepdims=True))
+
+
+CHUNK_MEASURES = [
+    full_uniform, golden_half, three_markov, zero_one_weights, three_bench,
+    skewed_three, four_letters, full_25, random_17,
+]
 
 
 def contract_window(measure, length, seed):
@@ -103,18 +149,79 @@ def test_sample_window_tuple_seed():
     assert sample_window(mu, 0, 9, (7, 3)) != sample_window(mu, 0, 9, (7, 4))
 
 
-@pytest.mark.parametrize("make", [full_uniform, golden_half, three_markov])
+@pytest.mark.parametrize("make", CHUNK_MEASURES)
 def test_sample_window_matches_contract_reference(make):
     mu = make()
-    # lengths 1 (first letter only), 51 (one short block) and 2*_BLOCK + 37
-    # (whole blocks and a short last one)
+    # lengths 1 (first letter only), 2 (one step), 51 and 54 (one short block)
+    # and 2*_BLOCK + 37 (whole blocks and a short last one); walks of 53 and
+    # 37 letters are not whole chunks for any k > 1 these measures get
     for seed in (2024, (7, 3)):
-        for length in (1, 51, 2 * _BLOCK + 37):
+        for length in (1, 2, 51, 54, 2 * _BLOCK + 37):
             assert sample_window(mu, -1, length - 2, seed).letters == contract_window(mu, length, seed)
     # many seeds spread the first uniforms over [0, 1), so the first letter's
     # inverse CDF is exercised between every pair of weights
     for seed in [*range(32), *((7, i) for i in range(32))]:
         assert sample_window(mu, 0, 2, seed).letters == contract_window(mu, 3, seed)
+    # k follows from the window length; the letters must not
+    assert sample_window(mu, 0, 4999, 31).letters[:50] == sample_window(mu, 0, 49, 31).letters
+
+
+@pytest.mark.parametrize("make", CHUNK_MEASURES)
+def test_chunk_tables_step_at_thresholds(make):
+    # sampling never draws u exactly at a threshold or at 0.0, so check the
+    # bucket of those u, and the step its table row takes, against the
+    # contract's inverse CDF directly; then every chunk table against steps
+    mu = make()
+    cum_rows = np.cumsum(mu.transition, axis=1)
+    theta, steps, last = _chunk_tables(mu, 1)
+    assert steps.shape[2] == 1
+    assert theta == sorted({float(c) for c in cum_rows[:, :-1].ravel() if 0.0 < c < 1.0})
+    assert len(theta) + 1 == steps.shape[1]
+    probes = [0.0, *theta, *np.nextafter(theta, 0.0), *np.nextafter(theta, 1.0)]
+    buckets = _buckets(np.array(probes), theta, np.intp)
+    for x, q in zip(probes, buckets):
+        for s in range(len(cum_rows)):
+            assert steps[s, q, 0] == np.sum(cum_rows[s, :-1] <= x), (x, s)
+    for n_walk in (2, 50, 5000):
+        theta, chunks, last = _chunk_tables(mu, n_walk)
+        l, nbk, k = chunks.shape
+        nb = len(theta) + 1
+        cap = min(256, n_walk)
+        assert nb**k <= max(nb, cap) and (nb ** (k + 1) > cap or k == cap)
+        for s in range(l):
+            for code in range(nbk):
+                cur = s
+                for i in range(k):
+                    cur = steps[cur, code // nb ** (k - 1 - i) % nb, 0]
+                    assert chunks[s, code, i] == cur
+                assert last[s * nbk + code] == cur * nbk
+
+
+@pytest.mark.parametrize("make", [golden_half, three_markov])
+def test_lane_blocks_lanes_match_one_lane_windows(make):
+    mu = make()
+    seeds = [(5, i) for i in range(37)]
+    n_letters = 2 * _BLOCK + 37
+    lanes = np.concatenate(list(_lane_blocks(mu, seeds, n_letters)), axis=1)
+    assert lanes.shape == (37, n_letters)
+    for seed, row in zip(seeds, lanes):
+        assert tuple((row + 1).tolist()) == sample_window(mu, 0, n_letters - 1, seed).letters
+
+
+def test_lane_blocks_memory_per_lane():
+    # peak traced memory over two blocks at 1000 lanes, with the caller
+    # holding the previous block: a block's uniforms (8 kB per lane), its
+    # buckets and codes, its letters and the previous block's, about 21 kB
+    mu = full_uniform()
+    lanes = 1000
+    tracemalloc.start()
+    try:
+        for block in _lane_blocks(mu, [(3, i) for i in range(lanes)], 1 + 2 * _BLOCK):
+            pass
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / lanes <= 24_000
 
 
 def test_sample_window_pinned_letters():
