@@ -43,7 +43,6 @@ from .lyapunov import (
     ZeroSetHit,
     growth_rate,
     in_exclusion_window,
-    kalinin_gap,
     kalinin_profile,
     lyapunov_mc,
     lyapunov_mc_grid,

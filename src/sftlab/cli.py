@@ -203,7 +203,7 @@ def run_subcommand(
         return ResultTable("bands", ("period", "cycle", "band_index", "k_lo", "k_hi"), rows)
 
     if name == "candidates":
-        cand = exceptional_candidates(config.spec, mp, config.bands.grid_points, config.bands.tol)
+        cand = exceptional_candidates(config.spec, mp, config.bands.tol)
         rows = [(i, lo, hi) for i, (lo, hi) in enumerate(cand.intervals)]
         return ResultTable("candidates", ("interval_index", "k_lo", "k_hi"), rows)
 

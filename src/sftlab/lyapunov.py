@@ -12,12 +12,13 @@ reports
 
 The L-step products of every (L+1)-letter word are tabulated per energy from
 the single-step matrices, with L the longest length whose table has at most
-512 words (8 steps for two letters).  Each block the sampler yields (up to
-1024 steps) is gathered as one slot per word, one per leftover single step
-and identity padding up to a power of two, and multiplied as a balanced tree
-(later half on the left, renormalized every third level); the block's product
-then advances the running lane product.  Blocks are gathered in chunks of
-energies, or of lanes, of at most ``_GATHER_BUDGET`` elements.
+512 words (8 steps for two letters).  Each block of letters the sampler
+yields (up to 1024 steps) is read straight into one slot per word, one per
+leftover single step and identity padding up to a power of two, and
+multiplied as a balanced tree (later half on the left, renormalized every
+third level); the block's product then advances the running lane product.
+Blocks are gathered in chunks of energies, or of lanes, of at most
+``_GATHER_BUDGET`` elements.
 
 The estimate is the sample mean; stderr is the sample standard deviation over
 the independent rates divided by sqrt(n_samples).  Everything, the word
@@ -33,6 +34,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -106,23 +108,6 @@ def growth_rate(sm: ScaledMat2, n_steps: int) -> float:
     return (sm.log_scale + math.log(sm.mat.spectral_norm())) / n_steps
 
 
-def _iter_pair_blocks(
-    measure: MarkovMeasure, n_steps: int, n_samples: int, seed: int
-) -> Iterator[np.ndarray]:
-    """Stream (n_samples, block) matrices of letter-pair indices
-    (prev-1)*l + (cur-1) over the n_steps + 1 letters of each sample, drawn
-    by the lane sampler with entropy (seed, sample_index)."""
-    l = measure.spec.alphabet_size
-    blocks = _lane_blocks(measure, [(int(seed), i) for i in range(n_samples)], n_steps + 1)
-    prev = next(blocks)[:, 0]
-    for pairs in blocks:  # letters, turned into pair indices in place
-        last = pairs[:, -1].copy()
-        pairs[:, 1:] += pairs[:, :-1] * l
-        pairs[:, 0] += prev * l
-        prev = last
-        yield pairs
-
-
 def _step_table(measure: MarkovMeasure, k_values: Sequence[float]) -> np.ndarray:
     """Entries (a11, a12, a21, a22) of the single-step matrix for every letter
     pair index (prev-1)*l + (cur-1), shape (4, n_k, l*l); NaN on forbidden
@@ -169,37 +154,46 @@ def _advance(a: np.ndarray, m: np.ndarray, logs: np.ndarray) -> np.ndarray:
     return prod / mag
 
 
-def _block_slots(pairs: np.ndarray, l: int, length: int, step0: int, pad: int) -> np.ndarray:
-    """Indices into the combined table of a sampler block, shape (P, lanes) with
-    P the next power of two: its whole L-step words, then its leftover single
-    steps (table index step0 + pair), then identity padding (index pad), with
-    time t stored at row bitrev(t), so that the later half of every level of
-    :func:`_tree_product` is its upper half."""
-    b = pairs.shape[1]
-    whole = b - b % length
-    cur = np.take(np.arange(l * l) % l, pairs[:, :whole])  # faster than pairs % l
-    idx = pairs[:, 0:whole:length] * l ** (length - 1)
-    for i in range(1, length):
-        idx += cur[:, i::length] * l ** (length - 1 - i)
-    n = idx.shape[1] + b - whole
-    size = 1 << (n - 1).bit_length()
+@lru_cache(maxsize=None)
+def _bit_reversal(size: int) -> np.ndarray:
+    """bitrev(t) for t < size, a power of two, built once per size."""
     rev = np.zeros(1, dtype=np.intp)
     while len(rev) < size:
         rev = np.concatenate((2 * rev, 2 * rev + 1))
-    slots = np.full((size, pairs.shape[0]), pad, dtype=np.intp)
-    slots[: idx.shape[1]] = idx.T
-    slots[idx.shape[1] : n] = step0 + pairs[:, whole:].T
-    return slots[rev]
+    rev.setflags(write=False)
+    return rev
+
+
+def _block_slots(letters: np.ndarray, prev: np.ndarray, l: int, length: int, step0: int, pad: int) -> np.ndarray:
+    """Indices into the combined table of a sampler block of 0-based letters
+    (lanes, b) after the letters prev, shape (P, lanes) with P the next power
+    of two.  With full = [prev | letters]: whole words sum_m full[:, jL+m] *
+    l**(L-m), then leftover steps step0 + full[:, t]*l + full[:, t+1], then
+    identity padding (index pad), with time t stored at row bitrev(t), so that
+    the later half of every level of :func:`_tree_product` is its upper half."""
+    lanes, b = letters.shape
+    full = np.concatenate((prev[:, None], letters), axis=1)
+    whole = b - b % length
+    idx = full[:, 0:whole:length] * l**length
+    for m in range(1, length + 1):
+        idx += full[:, m : whole + 1 : length] * l ** (length - m)
+    n = idx.shape[1] + b - whole
+    rev = _bit_reversal(1 << (n - 1).bit_length())
+    slots = np.full((len(rev), lanes), pad, dtype=np.intp)
+    slots[rev[: idx.shape[1]]] = idx.T
+    slots[rev[idx.shape[1] : n]] = (step0 + full[:, whole:b] * l + full[:, whole + 1 :]).T
+    return slots
 
 
 def _tree_product(mats: np.ndarray, logs: np.ndarray) -> np.ndarray:
     """Time-ordered product of the P slots of mats, shape (4, n_k, P, lanes) in
-    :func:`_block_slots` order, as a balanced tree: each level multiplies the
-    upper half (later times) onto the lower half.  Every _RENORM_LEVELS levels
-    below the root each slot is divided by its max entry, whose logs are
-    folded pairwise over the slots and added to logs (n_k, lanes) in place;
-    all of it is elementwise per energy and lane (a numpy sum over the slot
-    axis is not: its order follows the array's shape).
+    :func:`_block_slots` order (the cached :func:`_bit_reversal`), as a
+    balanced tree: each level multiplies the upper half (later times) onto
+    the lower half.  Every _RENORM_LEVELS levels below the root each slot is
+    divided by its max entry, whose logs are folded pairwise over the slots
+    and added to logs (n_k, lanes) in place; all of it is elementwise per
+    energy and lane (a numpy sum over the slot axis is not: its order follows
+    the array's shape).
 
     Entries stay in range: below the first renormalization they are bounded
     as in :func:`_word_steps`; after it a slot has max entry 1 and row sums at
@@ -241,12 +235,13 @@ def _mc_rates(
 ) -> np.ndarray:
     """Per-sample rates, shape (len(k_values), n_samples).
 
-    Each sampler block of up to _BLOCK steps becomes one slot per whole
-    (L+1)-letter word, L = _word_steps(l), one per leftover single step and
-    identity padding up to a power of two, gathered from one combined table
-    (words | steps | identity) per energy.  :func:`_tree_product` multiplies
-    the slots as a balanced tree and :func:`_advance` applies the block's
-    product to the running lane product.  The work runs in chunks of energies,
+    Each block of up to _BLOCK letters from the sampler, after the last letter
+    of the one before, becomes one slot per whole (L+1)-letter word,
+    L = _word_steps(l), one per leftover single step and identity padding up
+    to a power of two, gathered from one combined table (words | steps |
+    identity) per energy.  :func:`_tree_product` multiplies the slots as a
+    balanced tree and :func:`_advance` applies the block's product to the
+    running lane product.  The work runs in chunks of energies,
     or of lanes, that keep each gathered array within _GATHER_BUDGET
     elements; the association order depends only on the block, so the chunks
     never change a bit of the result."""
@@ -262,8 +257,11 @@ def _mc_rates(
     m[0] = m[3] = 1.0
     logs = np.zeros((len(k_values), n_samples))
 
-    for pairs in _iter_pair_blocks(measure, n_steps, n_samples, seed):
-        slots = _block_slots(pairs, l, length, step0, pad)
+    blocks = _lane_blocks(measure, [(int(seed), i) for i in range(n_samples)], n_steps + 1)
+    prev = next(blocks)[:, 0]
+    for letters in blocks:
+        slots = _block_slots(letters, prev, l, length, step0, pad)
+        prev = letters[:, -1]
         for ks, lanes in _chunks(len(k_values), n_samples, 4 * len(slots)):
             mats = np.take(table[:, ks], slots[:, lanes], axis=2)
             root = _tree_product(mats, logs[ks, lanes])
@@ -350,9 +348,3 @@ def kalinin_profile(
         min(g for p, g in zip(points, gaps) if p.period <= budget)
         for budget in range(1, max_period + 1)
     ]
-
-
-def kalinin_gap(measure: MarkovMeasure, k: float, max_period: int, mc_params: McParams) -> float:
-    """The last entry of :func:`kalinin_profile`: the gap over every periodic
-    point of period <= max_period."""
-    return kalinin_profile(measure, k, max_period, mc_params)[-1]

@@ -21,11 +21,9 @@ from .sft import PeriodicPoint, SubshiftSpec, enumerate_periodic_points
 @dataclass(frozen=True)
 class BandSet:
     """Finite union of disjoint closed subintervals of [0, pi] in the k
-    variable, with the grid step (0.0 for the exact band sets of
-    :func:`band_set`) and the tolerance of the edges."""
+    variable, with the tolerance of the edges."""
 
     intervals: tuple[tuple[float, float], ...]
-    resolution: float
     tol: float
 
     def total_length(self) -> float:
@@ -216,7 +214,7 @@ def band_set(p: PeriodicPoint, grid_points: int = 2001, tol: float = 1e-10) -> B
     bands merge wherever they touch (pi/2, pi/4, ...) and none is missed.
 
     ``grid_points`` is validated (>= 64) but otherwise ignored: no grid is
-    used, and the result stores ``resolution = 0.0``.
+    used.
     """
     if grid_points < 64:
         raise ValueError("grid_points must be >= 64")
@@ -248,7 +246,7 @@ def band_set(p: PeriodicPoint, grid_points: int = 2001, tol: float = 1e-10) -> B
         inside = not inside
     if inside:
         intervals.append((lo, math.pi))
-    return BandSet(tuple(intervals), 0.0, tol)
+    return BandSet(tuple(intervals), tol)
 
 
 def gaps(b: BandSet) -> BandSet:
@@ -261,14 +259,13 @@ def gaps(b: BandSet) -> BandSet:
         prev = hi
     if prev < math.pi:
         out.append((prev, math.pi))
-    return BandSet(tuple(out), b.resolution, b.tol)
+    return BandSet(tuple(out), b.tol)
 
 
 def intersect(bands: list[BandSet]) -> BandSet:
-    """Interval-sweep intersection; resolution and tol are the coarsest of
-    the inputs.  An empty input list acts as the identity [0, pi]."""
+    """Interval-sweep intersection; tol is the coarsest of the inputs.  An
+    empty input list acts as the identity [0, pi]."""
     acc = [(0.0, math.pi)]
-    resolution = max((b.resolution for b in bands), default=0.0)
     tol = max((b.tol for b in bands), default=0.0)
     for b in bands:
         out = []
@@ -286,25 +283,21 @@ def intersect(bands: list[BandSet]) -> BandSet:
         acc = out
         if not acc:
             break
-    return BandSet(tuple(acc), resolution, tol)
+    return BandSet(tuple(acc), tol)
 
 
-def h_tilde_bands(p: PeriodicPoint, grid_points: int = 2001, tol: float = 1e-10) -> list[tuple[float, float]]:
+def h_tilde_bands(p: PeriodicPoint, tol: float = 1e-10) -> list[tuple[float, float]]:
     """Spectrum of the weighted discrete hopping operator with weights
     p_n/(p_n + p_{n-1}): the image of the k-bands under the order-reversing
-    map k -> cos k, as closed subintervals of [-1, 1].  ``grid_points`` is
-    validated and ignored, as in :func:`band_set`."""
-    b = band_set(p, grid_points, tol)
+    map k -> cos k, as closed subintervals of [-1, 1]."""
+    b = band_set(p, tol=tol)
     out = [(max(-1.0, math.cos(hi)), min(1.0, math.cos(lo))) for lo, hi in b.intervals]
     return sorted(out)
 
 
-def exceptional_candidates(
-    spec: SubshiftSpec, max_period: int, grid_points: int = 2001, tol: float = 1e-10
-) -> BandSet:
+def exceptional_candidates(spec: SubshiftSpec, max_period: int, tol: float = 1e-10) -> BandSet:
     """Intersection of the band sets of every primitive periodic point with
     period <= max_period: an outer approximation, monotone non-increasing in
-    max_period, of the set of energies where the exponent can vanish.
-    ``grid_points`` is validated and ignored, as in :func:`band_set`."""
+    max_period, of the set of energies where the exponent can vanish."""
     points = enumerate_periodic_points(spec, max_period)
-    return intersect([band_set(p, grid_points, tol) for p in points])
+    return intersect([band_set(p, tol=tol) for p in points])

@@ -303,7 +303,7 @@ def test_criterion_7_candidate_consistency():
     grid = _grid_101()
     estimates = lyapunov_mc_grid(GOLDEN_HALF, grid, 100_000, 100, SEED + 7)
     candidates = {
-        mp: exceptional_candidates(GOLDEN, mp, 2001, 1e-10) for mp in range(1, 7)
+        mp: exceptional_candidates(GOLDEN, mp, tol=1e-10) for mp in range(1, 7)
     }
     print("  candidate shrinkage (max_period -> intervals):")
     previous = None
@@ -476,7 +476,7 @@ def test_zero_bound_floor_and_stderr_scaling():
 
 
 def test_candidate_rule_applies_to_zero_consistent_points_only():
-    candidates = BandSet(((0.0, 0.448), (2.694, math.pi)), 0.0, 0.0)
+    candidates = BandSet(((0.0, 0.448), (2.694, math.pi)), 0.0)
     slack = 0.0304
 
     def est(k, value, stderr):

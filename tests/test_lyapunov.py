@@ -16,7 +16,6 @@ from sftlab import (
     cocycle_product,
     growth_rate,
     in_exclusion_window,
-    kalinin_gap,
     kalinin_profile,
     lyapunov_mc,
     lyapunov_mc_grid,
@@ -28,8 +27,8 @@ from sftlab import (
     zero_set_scan,
 )
 import sftlab.lyapunov as lyapunov_module
-from sftlab.lyapunov import _iter_pair_blocks, _mc_rates, _word_steps
-from sftlab.measure import _BLOCK
+from sftlab.lyapunov import _block_slots, _mc_rates, _word_steps
+from sftlab.measure import _BLOCK, _lane_blocks
 
 FULL = validate_spec(2, [])
 GOLDEN = validate_spec(2, [(2, 2)])
@@ -158,33 +157,49 @@ def test_mc_grid_matches_single_energy_calls():
         assert est == single
 
 
-def test_mc_paths_match_sample_window_contract():
-    # sample i of the estimator must walk exactly the letters of
-    # sample_window(measure, -1, n_steps - 1, seed=(seed, i))
-    n_steps, n_samples, seed = 300, 4, 42
-    blocks = list(_iter_pair_blocks(GOLDEN_HALF, n_steps, n_samples, seed))
-    pairs = np.concatenate(blocks, axis=1)
-    l = GOLDEN_HALF.spec.alphabet_size
-    for i in range(n_samples):
-        w = sample_window(GOLDEN_HALF, -1, n_steps - 1, (seed, i))
-        expected = [
-            (w.letter(t - 1) - 1) * l + (w.letter(t) - 1) for t in range(n_steps)
-        ]
-        assert pairs[i].tolist() == expected
-
-
-def test_mc_paths_match_sample_window_contract_across_blocks():
-    # the same contract over several sampler blocks and a short last block
+@pytest.mark.parametrize(
+    "measure, length",
+    [(GOLDEN_HALF, 8), (THREE_MARKOV, 4), (FULL4_UNIFORM, 3), (FULL25_UNIFORM, 1)],
+    ids=["golden", "three", "full4", "full25"],
+)
+def test_block_slots_match_sample_window(measure, length):
+    # sample i of the estimator walks exactly the letters of
+    # sample_window(measure, -1, n_steps - 1, seed=(seed, i)); with the
+    # bit-reversal undone, each block's slots are its whole words, its
+    # leftover single steps and identity padding, over several sampler
+    # blocks and a short last one
     n_steps, n_samples, seed = 2 * _BLOCK + 37, 3, 8
-    for measure in (GOLDEN_HALF, THREE_MARKOV):
-        blocks = list(_iter_pair_blocks(measure, n_steps, n_samples, seed))
-        assert [b.shape[1] for b in blocks] == [_BLOCK, _BLOCK, 37]
-        pairs = np.concatenate(blocks, axis=1)
-        l = measure.spec.alphabet_size
-        for i in range(n_samples):
-            letters = sample_window(measure, -1, n_steps - 1, (seed, i)).letters
-            expected = [(a - 1) * l + (b - 1) for a, b in zip(letters, letters[1:])]
-            assert pairs[i].tolist() == expected
+    l = measure.spec.alphabet_size
+    assert _word_steps(l) == length
+    step0, pad = l ** (length + 1), l ** (length + 1) + l * l
+    windows = [
+        [a - 1 for a in sample_window(measure, -1, n_steps - 1, (seed, i)).letters]
+        for i in range(n_samples)
+    ]
+    blocks = _lane_blocks(measure, [(seed, i) for i in range(n_samples)], n_steps + 1)
+    prev = next(blocks)[:, 0]
+    sizes, t0 = [], 0
+    for letters in blocks:
+        b = letters.shape[1]
+        slots = _block_slots(letters, prev, l, length, step0, pad)
+        prev = letters[:, -1]
+        bits = len(slots).bit_length() - 1
+        rows = [int(format(t, f"0{bits}b")[::-1], 2) for t in range(len(slots))]
+        whole = b - b % length
+        for i, w in enumerate(windows):
+            full = w[t0 : t0 + b + 1]
+            expected = [
+                sum(full[j + m] * l ** (length - m) for m in range(length + 1))
+                for j in range(0, whole, length)
+            ]
+            expected += [step0 + full[t] * l + full[t + 1] for t in range(whole, b)]
+            assert len(slots) == 1 << (len(expected) - 1).bit_length()
+            expected += [pad] * (len(slots) - len(expected))
+            assert [int(slots[r, i]) for r in rows] == expected
+        sizes.append(b)
+        t0 += b
+    assert sizes == [_BLOCK, _BLOCK, 37]
+    assert t0 == n_steps
 
 
 def test_word_steps_from_alphabet_size():
@@ -355,7 +370,7 @@ def test_kalinin_gap_fixed_points_only():
     # with only fixed points available the gap is the estimate itself
     mc = McParams(5000, 8, 13)
     est = lyapunov_mc(FULL_UNIFORM, 0.9, 5000, 8, 13)
-    gap = kalinin_gap(FULL_UNIFORM, 0.9, 1, mc)
+    gap = kalinin_profile(FULL_UNIFORM, 0.9, 1, mc)[-1]
     assert gap == abs(est.value)
 
 
@@ -364,7 +379,7 @@ def test_kalinin_gap_inside_all_bands():
     # periodic exponents vanish and the gap equals the estimate
     mc = McParams(5000, 8, 17)
     est = lyapunov_mc(FULL_UNIFORM, 0.3, 5000, 8, 17)
-    gap = kalinin_gap(FULL_UNIFORM, 0.3, 4, mc)
+    gap = kalinin_profile(FULL_UNIFORM, 0.3, 4, mc)[-1]
     assert gap == abs(est.value)
 
 
@@ -372,14 +387,14 @@ def test_kalinin_gap_small_at_half_pi():
     # at the cancellation energy the estimate is pure finite-n noise of
     # order 1/sqrt(n_steps), and the periodic exponents vanish
     mc = McParams(50_000, 8, 19)
-    gap = kalinin_gap(FULL_UNIFORM, math.pi / 2, 2, mc)
+    gap = kalinin_profile(FULL_UNIFORM, math.pi / 2, 2, mc)[-1]
     assert gap < 6e-3
 
 
 def test_kalinin_gap_shrinks_with_more_periods():
     mc = McParams(20_000, 16, 29)
     k = 1.2
-    gaps = [kalinin_gap(FULL_UNIFORM, k, mp, mc) for mp in (1, 2, 4)]
+    gaps = [kalinin_profile(FULL_UNIFORM, k, mp, mc)[-1] for mp in (1, 2, 4)]
     assert gaps[1] <= gaps[0] + 1e-12
     assert gaps[2] <= gaps[1] + 1e-12
 
@@ -397,4 +412,5 @@ def test_kalinin_profile_entries_are_gaps_per_budget():
     mc = McParams(5000, 8, 37)
     for measure, k in ((FULL_UNIFORM, 1.2), (GOLDEN_HALF, 0.6)):
         profile = kalinin_profile(measure, k, 5, mc)
-        assert profile == [kalinin_gap(measure, k, mp, mc) for mp in range(1, 6)]
+        for mp in range(1, 6):
+            assert profile[:mp] == kalinin_profile(measure, k, mp, mc)

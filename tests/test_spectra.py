@@ -175,18 +175,17 @@ def test_intersect_identity_and_disjoint():
     full_band = band_set(P1)
     alt = band_set(P12)
     assert intersect([full_band, alt]).intervals == alt.intervals
-    a = BandSet(((0.0, 1.0),), 0.01, 1e-10)
-    b = BandSet(((2.0, 3.0),), 0.02, 1e-9)
+    a = BandSet(((0.0, 1.0),), 1e-10)
+    b = BandSet(((2.0, 3.0),), 1e-9)
     out = intersect([a, b])
     assert out.intervals == ()
-    assert out.resolution == 0.02
     assert out.tol == 1e-9
     assert intersect([]).intervals == ((0.0, math.pi),)
 
 
 def test_intersect_partial_overlap():
-    a = BandSet(((0.0, 1.0), (2.0, 3.0)), 0.01, 1e-10)
-    b = BandSet(((0.5, 2.5),), 0.01, 1e-10)
+    a = BandSet(((0.0, 1.0), (2.0, 3.0)), 1e-10)
+    b = BandSet(((0.5, 2.5),), 1e-10)
     assert intersect([a, b]).intervals == ((0.5, 1.0), (2.0, 2.5))
 
 
