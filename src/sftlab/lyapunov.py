@@ -97,10 +97,7 @@ def lyapunov_periodic(p: PeriodicPoint, k: float) -> float:
     """(1/n_p) log(spectral radius) of the one-period product: zero when the
     trace lies in [-2, 2] (elliptic/parabolic), else log of the larger
     eigenvalue magnitude of the unimodular monodromy."""
-    half = abs(monodromy_trace(p, k)) / 2.0
-    if half <= 1.0:
-        return 0.0
-    return math.log(half + math.sqrt(half * half - 1.0)) / p.period
+    return math.acosh(max(abs(monodromy_trace(p, k)) / 2.0, 1.0)) / p.period
 
 
 def growth_rate(sm: ScaledMat2, n_steps: int) -> float:
@@ -219,15 +216,11 @@ def _chunks(n_k: int, n_lanes: int, slot_elements: int) -> Iterator[tuple[slice,
     elements at slot_elements per energy and lane: runs of energies with every
     lane while one energy fits, else runs of lanes of one energy."""
     per_k = n_lanes * slot_elements
-    if per_k <= _GATHER_BUDGET:
-        step = _GATHER_BUDGET // per_k
-        for k0 in range(0, n_k, step):
-            yield slice(k0, k0 + step), slice(None)
-    else:
-        step = max(1, _GATHER_BUDGET // slot_elements)
-        for k0 in range(n_k):
-            for s0 in range(0, n_lanes, step):
-                yield slice(k0, k0 + 1), slice(s0, s0 + step)
+    k_run = max(1, _GATHER_BUDGET // per_k)
+    lane_run = n_lanes if per_k <= _GATHER_BUDGET else max(1, _GATHER_BUDGET // slot_elements)
+    for k0 in range(0, n_k, k_run):
+        for s0 in range(0, n_lanes, lane_run):
+            yield slice(k0, k0 + k_run), slice(s0, s0 + lane_run)
 
 
 def _mc_rates(

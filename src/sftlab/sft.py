@@ -178,22 +178,9 @@ def _strongly_connected(allowed: list[list[bool]]) -> bool:
 
 
 def _has_cycle(allowed: list[list[bool]]) -> bool:
+    """True iff some letter can reach itself in >= 1 steps."""
     n = len(allowed)
-    for v in range(n):
-        if allowed[v][v]:
-            return True
-    # a cycle exists iff some letter can reach itself in >= 1 steps
-    for v in range(n):
-        frontier = {w for w in range(n) if allowed[v][w]}
-        seen = set(frontier)
-        while frontier:
-            if v in seen:
-                return True
-            frontier = {u for w in frontier for u in range(n) if allowed[w][u]} - seen
-            seen |= frontier
-        if v in seen:
-            return True
-    return False
+    return any(v in _reachable(allowed, w, False) for v in range(n) for w in range(n) if allowed[v][w])
 
 
 def is_admissible(spec: SubshiftSpec, word: Word) -> bool:

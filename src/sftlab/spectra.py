@@ -34,34 +34,30 @@ class BandSet:
 
 
 def monodromy_trace(p: PeriodicPoint, k: float) -> float:
-    """Trace of the one-period product.
+    """Trace of the one-period product, P(c) / W with P the integer polynomial
+    of :func:`_trace_poly` and W the product of the letters, evaluated
+    exactly at the double c = cos k and rounded once.
 
-    Each step matrix of :func:`sftlab.cocycle.a_matrix` is
-    sqrt(cur/prev) / cur * [[(cur+prev) c, -prev], [cur, 0]] with c = cos k.
-    Around a whole cycle the sqrt(cur/prev) factors telescope to 1, so the
-    trace is that of the product of the integer-coefficient matrices, divided
-    once by the product of the letters.  At c = 0 (k = pi/2) every entry is
-    an exact integer, so bands that touch there read |trace| = 2 exactly.
-    Entries are bounded by (3 * alphabet_size)**period, so the result stays
-    finite far past any enumerable period and needs no renormalization.
+    The double c is a dyadic m / 2**e, so 2**(e * n) * P(c) is an integer
+    (:func:`_value`) and one integer division by W * 2**(e * n) gives the
+    correctly rounded trace.  Bands that touch at pi/2 read |trace| = 2
+    exactly, and the result stays finite far past any enumerable period.
     """
     check_energy(k)
-    c = canonical_cos(k)
+    m, d = canonical_cos(k).as_integer_ratio()
+    e = d.bit_length() - 1
     letters = p.cycle.letters
-    m11, m12, m21, m22 = 1.0, 0.0, 0.0, 1.0
-    prev = letters[-1]
-    for cur in letters:
-        a = (cur + prev) * c
-        m11, m12, m21, m22 = a * m11 - prev * m21, a * m12 - prev * m22, cur * m11, cur * m12
-        prev = cur
-    return (m11 + m22) / math.prod(letters)
+    trace = _trace_poly(letters)
+    return _value(trace, m, e) / (math.prod(letters) << (e * (len(trace) - 1)))
 
 
 def _trace_poly(letters: tuple[int, ...]) -> list[int]:
     """Integer coefficients, in ascending powers of c = cos k, of the trace of
-    the one-period product of the matrices [[(cur+prev) c, -prev], [cur, 0]]
-    (the recurrence of :func:`monodromy_trace`): the trace is this polynomial
-    divided by the product of the letters."""
+    the one-period product of the matrices [[(cur+prev) c, -prev], [cur, 0]]:
+    each step matrix of :func:`sftlab.cocycle.a_matrix` is sqrt(cur/prev) / cur
+    times this one, and around a whole cycle the sqrt(cur/prev) factors
+    telescope to 1, so the trace is this polynomial divided by the product of
+    the letters."""
     m11, m12, m21, m22 = [1], [0], [0], [1]
     prev = letters[-1]
     for cur in letters:

@@ -59,6 +59,12 @@ def test_validate_spec_rejects_empty_subshift():
     # only 1 -> 2 remains: no directed cycle, hence no bi-infinite sequence
     with pytest.raises(EmptySubshift):
         validate_spec(2, [(1, 1), (2, 1), (2, 2)])
+    # only the path 1 -> 2 -> 3
+    with pytest.raises(EmptySubshift):
+        validate_spec(3, [(i, j) for i in (1, 2, 3) for j in (1, 2, 3) if (i, j) not in ((1, 2), (2, 3))])
+    # a loop at 1 and the edge 1 -> 2: a cycle, but 1 is unreachable from 2
+    with pytest.raises(NotTransitive):
+        validate_spec(2, [(2, 1), (2, 2)])
 
 
 def test_validate_spec_rejects_bad_input():

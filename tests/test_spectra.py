@@ -13,6 +13,7 @@ from sftlab import (
     ParabolicOrCentral,
     PeriodicPoint,
     band_set,
+    canonical_cos,
     cocycle_product,
     eigendirections,
     enumerate_periodic_points,
@@ -385,6 +386,22 @@ def test_band_structure_invariants(spec, max_period):
         problems = band_structure_violations(p)
         if problems:
             bad[p.cycle.letters] = problems
+    assert not bad
+
+
+@pytest.mark.parametrize("spec, max_period", [(FULL, 8), (GOLDEN, 10), (THREE, 5)], ids=["full", "golden", "three"])
+def test_monodromy_trace_is_correctly_rounded(spec, max_period):
+    # the trace is the exact P(c) / W at the double c = canonical_cos(k),
+    # rounded once: no rounding error of a float cycle product remains
+    ks = [1e-3, math.pi / 4.0, math.pi / 2.0, 3.0 * math.pi / 4.0, math.pi - 1e-3]
+    ks += [0.05 + (math.pi - 0.1) * i / 19 for i in range(20)]
+    cs = [Fraction(canonical_cos(k)) for k in ks]
+    bad = []
+    for p in enumerate_periodic_points(spec, max_period):
+        trace = exact_trace_poly(p.cycle.letters)
+        for k, c in zip(ks, cs):
+            if monodromy_trace(p, k) != float(poly_at(trace, c)):
+                bad.append((p.cycle.letters, k))
     assert not bad
 
 
