@@ -41,7 +41,6 @@ from .lyapunov import (
     LyapunovEstimate,
     McParams,
     ZeroSetHit,
-    growth_rate,
     in_exclusion_window,
     kalinin_profile,
     lyapunov_mc,

@@ -86,10 +86,6 @@ class ScaledMat2(NamedTuple):
         s = math.exp(self.log_scale)
         return Mat2(s * self.mat.a11, s * self.mat.a12, s * self.mat.a21, s * self.mat.a22)
 
-    def log_det(self) -> float:
-        """log |det| of the represented matrix (safe for long products)."""
-        return math.log(abs(self.mat.det())) + 2.0 * self.log_scale
-
 
 def scaled_from(m: Mat2, log_scale: float = 0.0) -> ScaledMat2:
     """Normalize max-entry magnitude to 1, pushing the factor into the log."""

@@ -12,10 +12,12 @@ reports
 
 The L-step products of every (L+1)-letter word are tabulated per energy from
 the single-step matrices, with L the longest length whose table has at most
-512 words (8 steps for two letters).  Each block of letters the sampler
-yields (up to 1024 steps) is read straight into one slot per word, one per
-leftover single step and identity padding up to a power of two, and
-multiplied as a balanced tree (later half on the left, renormalized every
+512 words (8 steps for two letters).  The sampler walks each block of up to
+1024 steps in chunks of exactly L letters, and each walk position (the
+letter before a chunk and the chunk's bucket code) is one word: one gather
+from a position-to-word table gives a slot per word, the r leftover letters
+of a last partial chunk give one slot per single step, and identity pads the
+slots up to a power of two.  The slots are multiplied as a balanced tree (later half on the left, renormalized every
 third level); the block's product then advances the running lane product.
 Blocks are gathered in chunks of energies, or of lanes, of at most
 ``_GATHER_BUDGET`` elements.
@@ -39,8 +41,8 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .cocycle import ScaledMat2, a_matrix
-from .measure import MarkovMeasure, _lane_blocks
+from .cocycle import a_matrix
+from .measure import MarkovMeasure, _lane_walk
 from .sft import PeriodicPoint, enumerate_periodic_points
 from .spectra import monodromy_trace
 
@@ -100,11 +102,6 @@ def lyapunov_periodic(p: PeriodicPoint, k: float) -> float:
     return math.acosh(max(abs(monodromy_trace(p, k)) / 2.0, 1.0)) / p.period
 
 
-def growth_rate(sm: ScaledMat2, n_steps: int) -> float:
-    """Per-step expansion rate of an accumulated renormalized product."""
-    return (sm.log_scale + math.log(sm.mat.spectral_norm())) / n_steps
-
-
 def _step_table(measure: MarkovMeasure, k_values: Sequence[float]) -> np.ndarray:
     """Entries (a11, a12, a21, a22) of the single-step matrix for every letter
     pair index (prev-1)*l + (cur-1), shape (4, n_k, l*l); NaN on forbidden
@@ -161,24 +158,39 @@ def _bit_reversal(size: int) -> np.ndarray:
     return rev
 
 
-def _block_slots(letters: np.ndarray, prev: np.ndarray, l: int, length: int, step0: int, pad: int) -> np.ndarray:
-    """Indices into the combined table of a sampler block of 0-based letters
-    (lanes, b) after the letters prev, shape (P, lanes) with P the next power
-    of two.  With full = [prev | letters]: whole words sum_m full[:, jL+m] *
-    l**(L-m), then leftover steps step0 + full[:, t]*l + full[:, t+1], then
-    identity padding (index pad), with time t stored at row bitrev(t), so that
-    the later half of every level of :func:`_tree_product` is its upper half."""
-    lanes, b = letters.shape
-    full = np.concatenate((prev[:, None], letters), axis=1)
-    whole = b - b % length
-    idx = full[:, 0:whole:length] * l**length
-    for m in range(1, length + 1):
-        idx += full[:, m : whole + 1 : length] * l ** (length - m)
-    n = idx.shape[1] + b - whole
+def _word_slots(chunks: np.ndarray) -> np.ndarray:
+    """The word index s*l**L + sum_m chunks[s, code, m] * l**(L-1-m) of the
+    (L+1)-letter word that a walk position s*nb**L + code of the sampler's
+    chunk table (l, nb**L, L) stands for: the letter before the chunk, then
+    its L letters, in base l."""
+    l, _, length = chunks.shape
+    words = chunks @ l ** np.arange(length - 1, -1, -1)
+    words += np.arange(l)[:, None] * l**length
+    return words.ravel()
+
+
+def _block_slots(
+    pos: np.ndarray, b: int, chunks: np.ndarray, words: np.ndarray, step0: int, pad: int
+) -> np.ndarray:
+    """Indices into the combined table of a sampler block of b letters, from
+    its walk positions pos (chunks, lanes) in chunks of L letters, shape
+    (P, lanes) with P the next power of two: the word words[pos] of every
+    whole chunk (the table of :func:`_word_slots`), then the leftover single
+    steps step0 + x*l + y of the r = b % L letters of a last partial chunk,
+    read off its row of chunks after the letter before it, pos // nb**L,
+    then identity padding (index pad).  Time t is stored at row bitrev(t), so
+    that the later half of every level of :func:`_tree_product` is its upper
+    half."""
+    l, nbk, length = chunks.shape
+    whole, r = divmod(b, length)
+    n = whole + r
     rev = _bit_reversal(1 << (n - 1).bit_length())
-    slots = np.full((len(rev), lanes), pad, dtype=np.intp)
-    slots[rev[: idx.shape[1]]] = idx.T
-    slots[rev[idx.shape[1] : n]] = (step0 + full[:, whole:b] * l + full[:, whole + 1 :]).T
+    slots = np.full((len(rev), pos.shape[1]), pad, dtype=np.intp)
+    slots[rev[:whole]] = words[pos[:whole]]
+    if r:
+        tail = pos[whole]
+        full = np.concatenate(((tail // nbk)[:, None], chunks.reshape(-1, length)[tail, :r]), axis=1)
+        slots[rev[whole:n]] = (step0 + full[:, :-1] * l + full[:, 1:]).T
     return slots
 
 
@@ -228,16 +240,18 @@ def _mc_rates(
 ) -> np.ndarray:
     """Per-sample rates, shape (len(k_values), n_samples).
 
-    Each block of up to _BLOCK letters from the sampler, after the last letter
-    of the one before, becomes one slot per whole (L+1)-letter word,
-    L = _word_steps(l), one per leftover single step and identity padding up
-    to a power of two, gathered from one combined table (words | steps |
-    identity) per energy.  :func:`_tree_product` multiplies the slots as a
-    balanced tree and :func:`_advance` applies the block's product to the
-    running lane product.  The work runs in chunks of energies,
-    or of lanes, that keep each gathered array within _GATHER_BUDGET
-    elements; the association order depends only on the block, so the chunks
-    never change a bit of the result."""
+    The sampler walks each block of up to _BLOCK letters in chunks of
+    L = _word_steps(l) letters; :func:`_block_slots` turns its walk positions
+    into one slot per whole (L+1)-letter word (the letter before the chunk
+    and the chunk), one per leftover single step and identity padding up to
+    a power of two, gathered from one combined table (words | steps |
+    identity) per energy; no letters are built for whole chunks.
+    :func:`_tree_product` multiplies the slots as a balanced tree and
+    :func:`_advance` applies the block's product to the running lane
+    product.  The work runs in chunks of energies, or of lanes, that keep
+    each gathered array within _GATHER_BUDGET elements; the association order
+    depends only on the block, so the chunks never change a bit of the
+    result."""
     l = measure.spec.alphabet_size
     length = _word_steps(l)
     steps = _step_table(measure, k_values)
@@ -250,11 +264,10 @@ def _mc_rates(
     m[0] = m[3] = 1.0
     logs = np.zeros((len(k_values), n_samples))
 
-    blocks = _lane_blocks(measure, [(int(seed), i) for i in range(n_samples)], n_steps + 1)
-    prev = next(blocks)[:, 0]
-    for letters in blocks:
-        slots = _block_slots(letters, prev, l, length, step0, pad)
-        prev = letters[:, -1]
+    _, chunks, walk = _lane_walk(measure, [(int(seed), i) for i in range(n_samples)], n_steps + 1, length)
+    words = _word_slots(chunks)
+    for b, pos in walk:
+        slots = _block_slots(pos, b, chunks, words, step0, pad)
         for ks, lanes in _chunks(len(k_values), n_samples, 4 * len(slots)):
             mats = np.take(table[:, ks], slots[:, lanes], axis=2)
             root = _tree_product(mats, logs[ks, lanes])

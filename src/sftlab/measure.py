@@ -9,7 +9,7 @@ each subsequent letter by inverse CDF on the transition row of its
 predecessor.  Inverse CDF on cumulative weights ``cum`` maps a uniform ``u``
 to ``#{i < len(cum)-1 : cum[i] <= u}``.
 
-One sampler, :func:`_lane_blocks`, implements it for any number of lanes:
+One walk, :func:`_lane_walk`, implements it for any number of lanes:
 :func:`sample_window` is its one-lane case, and Monte-Carlo samples are lanes.
 
 The next letter depends on ``u`` only through its bucket
@@ -18,12 +18,16 @@ interior cumulative transition weights strictly inside (0, 1): a weight
 ``<= 0`` is always ``<= u`` and a weight ``>= 1`` never is, since ``u`` lies in
 [0, 1).  So there are only ``nb = len(Theta) + 1`` step maps.  Per call the
 sampler tabulates, for every letter and every code of k buckets, the k
-letters that follow, with k the longest chunk whose table has at most
-``min(256, letters to walk)`` codes (k = 8 with one threshold, as on the
-uniform full shift and on the golden mean with weights 1/2).  Each block of
-up to 1024 letters draws every lane's uniforms into a row, turns them into
-bucket codes, and walks the lanes with one table gather per k letters; one
-more gather emits the block.
+letters that follow.  Each block of up to 1024 letters draws every lane's
+uniforms into a row, turns them into bucket codes, and walks the lanes with
+one table gather per k letters.  The walk yields positions
+``s * nb**k + code``, s the letter before a chunk and code its k buckets:
+the block's letters are one gather of table rows away (:func:`_lane_blocks`),
+and the Monte-Carlo kernel reads its word slots off the positions directly,
+walking chunks of exactly its word length L.  Otherwise k is the longest
+chunk whose table has at most ``min(256, letters to walk)`` codes (k = 8 with
+one threshold, as on the uniform full shift and on the golden mean with
+weights 1/2).
 """
 
 from __future__ import annotations
@@ -94,26 +98,49 @@ def stationary_markov(spec: SubshiftSpec, transition) -> MarkovMeasure:
 def _lane_blocks(measure: MarkovMeasure, seeds, n_letters: int) -> Iterator[np.ndarray]:
     """The contract's 0-based letters, n_letters per lane (one per seed), as new
     arrays: each lane's first letter alone, shape (lanes, 1), then blocks of
-    shape (lanes, b), b <= _BLOCK, walked by :func:`_walk_block` through the
-    tables :func:`_chunk_tables` builds once per call."""
+    shape (lanes, b), b <= _BLOCK, emitted by :func:`_block_letters` from the
+    positions of :func:`_lane_walk`."""
+    first, chunks, walk = _lane_walk(measure, seeds, n_letters)
+    yield first[:, None]
+    for b, pos in walk:
+        yield _block_letters(chunks, pos, b)
+
+
+def _lane_walk(
+    measure: MarkovMeasure, seeds, n_letters: int, k: int | None = None
+) -> tuple[np.ndarray, np.ndarray, Iterator[tuple[int, np.ndarray]]]:
+    """The contract's walk over n_letters letters per lane (one per seed):
+    each lane's 0-based first letter, shape (lanes,); the table chunks of
+    :func:`_chunk_tables`, in chunks of k letters (by default its
+    length-capped k); and an iterator over the blocks after the first letter,
+    b <= _BLOCK letters each, that yields (b, pos), pos the positions of
+    :func:`_walk_block`, shape (ceil(b / k), lanes)."""
     gens = [np.random.Generator(np.random.PCG64(np.random.SeedSequence(s))) for s in seeds]
     stationary_cum = np.cumsum(measure.stationary)[:-1].tolist()
-    cur = np.array([bisect_right(stationary_cum, g.random()) for g in gens], dtype=np.intp)
-    yield cur[:, None]
-    theta, chunks, last = _chunk_tables(measure, n_letters - 1)
-    for done in range(1, n_letters, _BLOCK):
-        letters = _walk_block(gens, theta, chunks, last, cur, min(_BLOCK, n_letters - done))
-        cur = letters[:, -1].copy()  # callers may change the block they get
-        yield letters
+    first = np.array([bisect_right(stationary_cum, g.random()) for g in gens], dtype=np.intp)
+    theta, chunks, last = _chunk_tables(measure, n_letters - 1, k)
+    rows = chunks.reshape(-1, chunks.shape[2])
+
+    def blocks(cur):
+        for done in range(1, n_letters, _BLOCK):
+            b = min(_BLOCK, n_letters - done)
+            pos = _walk_block(gens, theta, chunks, last, cur, b)
+            cur = rows[pos[-1], (b - 1) % rows.shape[1]]  # the block's last letter
+            yield b, pos
+
+    return first, chunks, blocks(first.copy())  # callers may change first
 
 
-def _chunk_tables(measure: MarkovMeasure, n_walk: int) -> tuple[list[float], np.ndarray, np.ndarray]:
+def _chunk_tables(
+    measure: MarkovMeasure, n_walk: int, k: int | None = None
+) -> tuple[list[float], np.ndarray, np.ndarray]:
     """The thresholds Theta, sorted; chunks[s, code, i], the letter i+1 steps
     after letter s when the k uniforms of a chunk fall in the buckets of code
     (base nb = len(Theta) + 1, first step most significant); and
-    last[s*nb**k + code] = chunks[s, code, -1] * nb**k.  k is the longest
-    chunk with nb**k <= min(_CHUNK_TABLE_MAX, n_walk), at least 1, so a short
-    walk builds a small table.
+    last[s*nb**k + code] = chunks[s, code, -1] * nb**k.  k is the given chunk
+    length, or by default the longest chunk with
+    nb**k <= min(_CHUNK_TABLE_MAX, n_walk), at least 1, so a short walk
+    builds a small table.
 
     A uniform u in bucket q steps s as every u in that bucket does, and so as
     its smallest member: 0.0 for q = 0, Theta[q-1] after (module docstring).
@@ -123,10 +150,11 @@ def _chunk_tables(measure: MarkovMeasure, n_walk: int) -> tuple[list[float], np.
     theta = sorted({x for row in interior_rows for x in row if 0.0 < x < 1.0})
     nb = len(theta) + 1
     step = np.array([[bisect_right(row, x) for x in (0.0, *theta)] for row in interior_rows])
-    cap = min(_CHUNK_TABLE_MAX, n_walk)
-    k = 1
-    while k < cap and nb ** (k + 1) <= cap:
-        k += 1
+    if k is None:
+        cap = min(_CHUNK_TABLE_MAX, n_walk)
+        k = 1
+        while k < cap and nb ** (k + 1) <= cap:
+            k += 1
     l = len(step)
     chunks = np.empty((l, nb**k, k), dtype=np.intp)
     state = np.arange(l)[:, None]
@@ -139,39 +167,48 @@ def _chunk_tables(measure: MarkovMeasure, n_walk: int) -> tuple[list[float], np.
 def _walk_block(
     gens, theta: list[float], chunks: np.ndarray, last: np.ndarray, cur: np.ndarray, b: int
 ) -> np.ndarray:
-    """The b letters after the letters cur in every lane, shape (lanes, b).
+    """The walk over the b letters after the letters cur in every lane, as
+    the position s*nb**k + code of every chunk of k letters in the rows of
+    chunks, s the letter before the chunk and code its k bucket digits, shape
+    (chunks, lanes); a last partial chunk is padded with bucket 0, and only
+    its first b % k letters belong to the block.
 
     Each lane's b uniforms are drawn into a row, padded with zeros (bucket 0)
     to whole chunks of k, and become one bucket code per chunk, kept as
     (chunks, lanes).  The walk takes one gather in last per chunk, where
     index s*nb**k + code holds the chunk's end letter times nb**k, so there is
-    no loop per letter (one lane walks the same table on Python ints); one
-    gather of chunk rows then emits every letter."""
-    l, nbk, k = chunks.shape
+    no loop per letter (one lane walks the same table on Python ints)."""
+    _, nbk, k = chunks.shape
     lanes = len(gens)
     u = np.empty((lanes, -(-b // k) * k))
     u[:, b:] = 0.0
     for i, g in enumerate(gens):
         g.random(out=u[i, :b])
     q = _buckets(u, theta, np.min_scalar_type(nbk - 1)).reshape(lanes, -1, k)
-    del u  # the block's largest array: free it before the letters are gathered
+    del u  # the block's largest array: free it before the codes are built
     code = q[:, :, 0].copy()
     for i in range(1, k):  # Horner in base nb, first step most significant
         code *= len(theta) + 1
         code += q[:, :, i]
-    code = np.array(code.T, dtype=np.intp, order="C")
+    pos = np.array(code.T, dtype=np.intp, order="C")
     if lanes == 1:  # sample_window: on one lane, numpy's cost per call outweighs the work
-        table, pos, walk = last.tolist(), int(cur[0]) * nbk, code[:, 0].tolist()
+        table, at, walk = last.tolist(), int(cur[0]) * nbk, pos[:, 0].tolist()
         for c, x in enumerate(walk):
-            walk[c] = pos = pos + x
-            pos = table[pos]
-        code[:, 0] = walk
+            walk[c] = at = at + x
+            at = table[at]
+        pos[:, 0] = walk
     else:
-        pos = cur * nbk
-        for row in code:
-            row += pos
-            pos = last[row]
-    return np.take(chunks.reshape(l * nbk, k), code.T, axis=0).reshape(lanes, -1)[:, :b]
+        at = cur * nbk
+        for row in pos:
+            row += at
+            at = last[row]
+    return pos
+
+
+def _block_letters(chunks: np.ndarray, pos: np.ndarray, b: int) -> np.ndarray:
+    """The b letters of a block walked to the positions pos, shape (lanes, b):
+    one gather of chunk rows."""
+    return np.take(chunks.reshape(-1, chunks.shape[2]), pos.T, axis=0).reshape(pos.shape[1], -1)[:, :b]
 
 
 def _buckets(u: np.ndarray, theta: list[float], dtype) -> np.ndarray:

@@ -151,7 +151,9 @@ def test_product_unimodular_and_normalized():
         sm = cocycle_product(k, word)
         entries = [sm.mat.a11, sm.mat.a12, sm.mat.a21, sm.mat.a22]
         assert max(abs(e) for e in entries) == 1.0
-        assert abs(sm.log_det()) < 1e-10 * max(1.0, abs(sm.log_scale))
+        # log |det| of the represented matrix exp(log_scale) * mat
+        log_det = math.log(abs(sm.mat.det())) + 2.0 * sm.log_scale
+        assert abs(log_det) < 1e-10 * max(1.0, abs(sm.log_scale))
 
 
 def test_cocycle_law():

@@ -1,6 +1,7 @@
 """Exponent estimators: periodic closed forms, Monte-Carlo statistics and
 determinism, zero-set scanning and the periodic-approximation diagnostic."""
 
+import itertools
 import math
 import random
 
@@ -14,7 +15,6 @@ from sftlab import (
     Word,
     a_matrix,
     cocycle_product,
-    growth_rate,
     in_exclusion_window,
     kalinin_profile,
     lyapunov_mc,
@@ -27,8 +27,8 @@ from sftlab import (
     zero_set_scan,
 )
 import sftlab.lyapunov as lyapunov_module
-from sftlab.lyapunov import _block_slots, _mc_rates, _word_steps
-from sftlab.measure import _BLOCK, _lane_blocks
+from sftlab.lyapunov import _block_slots, _mc_rates, _word_slots, _word_steps
+from sftlab.measure import _BLOCK, _lane_walk
 
 FULL = validate_spec(2, [])
 GOLDEN = validate_spec(2, [(2, 2)])
@@ -38,9 +38,17 @@ THREE = validate_spec(3, [(2, 2), (3, 1)])
 THREE_MARKOV = stationary_markov(THREE, [[0.2, 0.3, 0.5], [0.6, 0.0, 0.4], [0.0, 0.7, 0.3]])
 FULL4_UNIFORM = stationary_markov(validate_spec(4, []), np.full((4, 4), 0.25))
 FULL25_UNIFORM = stationary_markov(validate_spec(25, []), np.full((25, 25), 0.04))
+# thresholds 0.3 and 0.9: three buckets, so the sampler's own chunk length
+# (5, the longest with at most 256 codes) differs from the word length L = 8
+TWO_THRESHOLDS = stationary_markov(FULL, [[0.3, 0.7], [0.9, 0.1]])
 P1 = PeriodicPoint.from_letters((1,))
 P12 = PeriodicPoint.from_letters((1, 2))
 LN2_OVER_2 = 0.34657359027997264
+
+
+def growth_rate(sm, n_steps):
+    """Per-step expansion rate of an accumulated renormalized product."""
+    return (sm.log_scale + math.log(sm.mat.spectral_norm())) / n_steps
 
 
 # ------------------------------------------------------------- periodic
@@ -159,47 +167,50 @@ def test_mc_grid_matches_single_energy_calls():
 
 @pytest.mark.parametrize(
     "measure, length",
-    [(GOLDEN_HALF, 8), (THREE_MARKOV, 4), (FULL4_UNIFORM, 3), (FULL25_UNIFORM, 1)],
-    ids=["golden", "three", "full4", "full25"],
+    [(GOLDEN_HALF, 8), (THREE_MARKOV, 4), (FULL4_UNIFORM, 3), (FULL25_UNIFORM, 1), (TWO_THRESHOLDS, 8)],
+    ids=["golden", "three", "full4", "full25", "nb3"],
 )
 def test_block_slots_match_sample_window(measure, length):
     # sample i of the estimator walks exactly the letters of
-    # sample_window(measure, -1, n_steps - 1, seed=(seed, i)); with the
-    # bit-reversal undone, each block's slots are its whole words, its
-    # leftover single steps and identity padding, over several sampler
-    # blocks and a short last one
-    n_steps, n_samples, seed = 2 * _BLOCK + 37, 3, 8
+    # sample_window(measure, -1, n_steps - 1, seed=(seed, i)) in chunks of
+    # L letters; with the bit-reversal undone, each block's slots are its
+    # whole words, its leftover single steps and identity padding, over
+    # several sampler blocks and a short last one, down to a single letter
+    # whose step starts at the previous block's last letter
     l = measure.spec.alphabet_size
     assert _word_steps(l) == length
     step0, pad = l ** (length + 1), l ** (length + 1) + l * l
-    windows = [
-        [a - 1 for a in sample_window(measure, -1, n_steps - 1, (seed, i)).letters]
-        for i in range(n_samples)
-    ]
-    blocks = _lane_blocks(measure, [(seed, i) for i in range(n_samples)], n_steps + 1)
-    prev = next(blocks)[:, 0]
-    sizes, t0 = [], 0
-    for letters in blocks:
-        b = letters.shape[1]
-        slots = _block_slots(letters, prev, l, length, step0, pad)
-        prev = letters[:, -1]
-        bits = len(slots).bit_length() - 1
-        rows = [int(format(t, f"0{bits}b")[::-1], 2) for t in range(len(slots))]
-        whole = b - b % length
-        for i, w in enumerate(windows):
-            full = w[t0 : t0 + b + 1]
-            expected = [
-                sum(full[j + m] * l ** (length - m) for m in range(length + 1))
-                for j in range(0, whole, length)
-            ]
-            expected += [step0 + full[t] * l + full[t + 1] for t in range(whole, b)]
-            assert len(slots) == 1 << (len(expected) - 1).bit_length()
-            expected += [pad] * (len(slots) - len(expected))
-            assert [int(slots[r, i]) for r in rows] == expected
-        sizes.append(b)
-        t0 += b
-    assert sizes == [_BLOCK, _BLOCK, 37]
-    assert t0 == n_steps
+    n_samples, seed = 3, 8
+    for n_steps in (2 * _BLOCK + 37, 2 * _BLOCK + 1):
+        windows = [
+            [a - 1 for a in sample_window(measure, -1, n_steps - 1, (seed, i)).letters]
+            for i in range(n_samples)
+        ]
+        seeds = [(seed, i) for i in range(n_samples)]
+        first, chunks, walk = _lane_walk(measure, seeds, n_steps + 1, length)
+        assert chunks.shape[2] == length
+        assert first.tolist() == [w[0] for w in windows]
+        words = _word_slots(chunks)
+        sizes, t0 = [], 0
+        for b, pos in walk:
+            slots = _block_slots(pos, b, chunks, words, step0, pad)
+            bits = len(slots).bit_length() - 1
+            rows = [int(format(t, f"0{bits}b")[::-1], 2) for t in range(len(slots))]
+            whole = b - b % length
+            for i, w in enumerate(windows):
+                full = w[t0 : t0 + b + 1]
+                expected = [
+                    sum(full[j + m] * l ** (length - m) for m in range(length + 1))
+                    for j in range(0, whole, length)
+                ]
+                expected += [step0 + full[t] * l + full[t + 1] for t in range(whole, b)]
+                assert len(slots) == 1 << (len(expected) - 1).bit_length()
+                expected += [pad] * (len(slots) - len(expected))
+                assert [int(slots[r, i]) for r in rows] == expected
+            sizes.append(b)
+            t0 += b
+        assert sizes == [_BLOCK, _BLOCK, n_steps - 2 * _BLOCK]
+        assert t0 == n_steps
 
 
 def test_word_steps_from_alphabet_size():
@@ -212,13 +223,15 @@ def test_word_steps_from_alphabet_size():
 def test_mc_rates_match_per_step_product():
     # oracle: the every-step renormalized scalar product on the sample's own
     # letters; 2*_BLOCK + 37 steps make the sampler's last block short, so
-    # the leftover single steps after the last whole word run as well.  On
-    # four letters (L = 3) a whole block is 341 words and 1 step, padded to
-    # 512 slots; on 25 letters (L = 1) every slot is a single step.
-    n_steps, n_samples, seed = 2 * _BLOCK + 37, 4, 2024
+    # the leftover single steps after the last whole word run as well, and
+    # 2*_BLOCK + 1 leave a last block of one step.  On four letters (L = 3)
+    # a whole block is 341 words and 1 step, padded to 512 slots; on 25
+    # letters (L = 1) every slot is a single step.
+    n_samples, seed = 4, 2024
     ks = [0.31, 1.2, math.pi / 2, 2.7]
     assert [_word_steps(m.spec.alphabet_size) for m in (FULL4_UNIFORM, FULL25_UNIFORM)] == [3, 1]
-    for measure in (FULL_UNIFORM, GOLDEN_HALF, THREE_MARKOV, FULL4_UNIFORM, FULL25_UNIFORM):
+    measures = (FULL_UNIFORM, GOLDEN_HALF, THREE_MARKOV, FULL4_UNIFORM, FULL25_UNIFORM, TWO_THRESHOLDS)
+    for measure, n_steps in itertools.product(measures, (2 * _BLOCK + 37, 2 * _BLOCK + 1)):
         rates = _mc_rates(measure, ks, n_steps, n_samples, seed)
         assert rates.shape == (len(ks), n_samples)
         # words holding a forbidden pair are NaN in the table: never read

@@ -16,7 +16,7 @@ from sftlab import (
     stationary_markov,
     validate_spec,
 )
-from sftlab.measure import _BLOCK, _buckets, _chunk_tables, _lane_blocks
+from sftlab.measure import _BLOCK, _block_letters, _buckets, _chunk_tables, _lane_blocks, _lane_walk
 
 FULL = validate_spec(2, [])
 GOLDEN = validate_spec(2, [(2, 2)])
@@ -47,6 +47,12 @@ def three_bench():
     return stationary_markov(THREE, [[1 / 3, 1 / 3, 1 / 3], [0.5, 0.0, 0.5], [0.0, 0.5, 0.5]])
 
 
+def two_thresholds():
+    # thresholds 0.3 and 0.9 on two letters: nb = 3, so k = 5 by default
+    # while the Monte-Carlo kernel walks chunks of its word length, 8
+    return stationary_markov(FULL, [[0.3, 0.7], [0.9, 0.1]])
+
+
 def skewed_three():
     # six distinct thresholds: nb = 7, k = 2
     spec = validate_spec(3, [])
@@ -75,7 +81,7 @@ def random_17():
 
 CHUNK_MEASURES = [
     full_uniform, golden_half, three_markov, zero_one_weights, three_bench,
-    skewed_three, four_letters, full_25, random_17,
+    two_thresholds, skewed_three, four_letters, full_25, random_17,
 ]
 
 
@@ -182,12 +188,16 @@ def test_chunk_tables_step_at_thresholds(make):
     for x, q in zip(probes, buckets):
         for s in range(len(cum_rows)):
             assert steps[s, q, 0] == np.sum(cum_rows[s, :-1] <= x), (x, s)
-    for n_walk in (2, 50, 5000):
-        theta, chunks, last = _chunk_tables(mu, n_walk)
+    nb = len(theta) + 1
+    explicit = [(1, k) for k in (1, 3, 9) if nb**k <= 4096]  # the given k, whatever n_walk allows
+    for n_walk, k_given in [(2, None), (50, None), (5000, None), *explicit]:
+        theta, chunks, last = _chunk_tables(mu, n_walk, k_given)
         l, nbk, k = chunks.shape
-        nb = len(theta) + 1
         cap = min(256, n_walk)
-        assert nb**k <= max(nb, cap) and (nb ** (k + 1) > cap or k == cap)
+        if k_given is None:
+            assert nb**k <= max(nb, cap) and (nb ** (k + 1) > cap or k == cap)
+        else:
+            assert k == k_given and nbk == nb**k
         for s in range(l):
             for code in range(nbk):
                 cur = s
@@ -206,6 +216,30 @@ def test_lane_blocks_lanes_match_one_lane_windows(make):
     assert lanes.shape == (37, n_letters)
     for seed, row in zip(seeds, lanes):
         assert tuple((row + 1).tolist()) == sample_window(mu, 0, n_letters - 1, seed).letters
+
+
+@pytest.mark.parametrize("make", [golden_half, three_bench, two_thresholds, four_letters])
+def test_lane_walk_any_chunk_length_matches_contract(make):
+    # the Monte-Carlo kernel walks chunks of its word length, not the
+    # sampler's default k: any chunk length walks the contract's letters,
+    # and every position holds the letter before its chunk
+    mu = make()
+    seeds = [(9, i) for i in range(5)]
+    n_letters = 2 * _BLOCK + 2
+    expected = np.array([contract_window(mu, n_letters, seed) for seed in seeds]) - 1
+    nb = len(_chunk_tables(mu, 1)[0]) + 1
+    for k in (1, 2, 3, 4, 8):
+        if nb**k > 8192:
+            continue
+        first, chunks, walk = _lane_walk(mu, seeds, n_letters, k)
+        assert chunks.shape[2] == k
+        letters, t0 = [first[:, None]], 1
+        for b, pos in walk:
+            assert pos.shape == (-(-b // k), len(seeds))
+            assert np.array_equal(pos // chunks.shape[1], expected[:, t0 - 1 : t0 - 1 + b : k].T)
+            letters.append(_block_letters(chunks, pos, b))
+            t0 += b
+        assert np.array_equal(np.concatenate(letters, axis=1), expected)
 
 
 def test_lane_blocks_memory_per_lane():
