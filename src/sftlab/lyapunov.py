@@ -10,15 +10,17 @@ reports
 
     rate_i = (accumulated log scale + log spectral norm of the residual) / n_steps.
 
-The L-step products of every (L+1)-letter word are tabulated per energy from
-the single-step matrices, with L the longest length whose table has at most
-512 words (8 steps for two letters).  The sampler walks each block of up to
-1024 steps in chunks of exactly L letters, and each walk position (the
-letter before a chunk and the chunk's bucket code) is one word: one gather
-from a position-to-word table gives a slot per word, the r leftover letters
-of a last partial chunk give one slot per single step, and identity pads the
-slots up to a power of two.  The slots are multiplied as a balanced tree (later half on the left, renormalized every
-third level); the block's product then advances the running lane product.
+The L-step products of the admissible (L+1)-letter words are tabulated per
+energy from the single-step matrices, with L the longest length that has at
+most 512 such words (8 steps on the full 2-shift, 11 on the golden mean).
+The sampler walks blocks of L * 2**m steps in chunks of exactly L letters,
+and each walk position (the letter before a chunk and the chunk's bucket
+code) is one word: one gather from a position-to-word table gives a slot per
+word, so a whole block is 2**m word slots.  Only a short last block has the
+r leftover letters of a partial chunk, one slot per single step, and
+identity padding up to a power of two.  The slots are multiplied as a
+balanced tree (later half on the left, renormalized every third level); the
+block's product then advances the running lane product.
 Blocks are gathered in chunks of energies, or of lanes, of at most
 ``_GATHER_BUDGET`` elements.
 
@@ -42,29 +44,50 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .cocycle import a_matrix
-from .measure import MarkovMeasure, _lane_walk
+from .measure import MarkovMeasure, _lane_walk, _thresholds
 from .sft import PeriodicPoint, enumerate_periodic_points
 from .spectra import monodromy_trace
 
 _WORD_TABLE_MAX = 512
+_WALK_POSITIONS_MAX = 1 << 16
+_ENTRY_BITS_MAX = 256  # log2 bound on entries before a tree renormalization
 _GATHER_BUDGET = 1 << 18  # elements (2 MiB of float64) in one gathered block chunk
 _RENORM_LEVELS = 3
 
 
-def _word_steps(alphabet_size: int) -> int:
-    """Steps per word-table entry: the longest L >= 1 with
-    alphabet_size**(L+1) <= 512 (8 for two letters, 4 for three, 1 from 23
-    letters on).  A step's rows have absolute sums below
-    2*sqrt(alphabet_size) + 1, and so do its inverse's, so a word's entries
-    stay below (2*sqrt(l) + 1)**L (4.6e4 for two letters), and a product of
-    the 2**_RENORM_LEVELS words :func:`_tree_product` multiplies before its
-    first renormalization below (2*sqrt(l) + 1)**(8L): 2e37 for two letters,
-    and less for any larger alphabet up to 5e8 letters, far more than an
-    l*l step table can hold."""
+def _word_steps(measure: MarkovMeasure) -> int:
+    """Steps per word-table entry: the longest L >= 1 with at most
+    _WORD_TABLE_MAX = 512 admissible (L+1)-letter words, counted exactly as
+    the sum of the entries of A**L, A the 0/1 matrix of allowed pairs (8 on
+    the full 2-shift, 11 on the golden mean, 3 on the full 4-shift, 1 on full
+    shifts from 23 letters on).  Two caps bound L as well:
+
+    - the sampler's walk has l * nb**L positions (nb buckets per letter),
+      at most _WALK_POSITIONS_MAX = 2**16;
+    - a step's rows have absolute sums below 2*sqrt(l) + 1, and so do its
+      inverse's, so a word's entries stay below (2*sqrt(l) + 1)**L, and a
+      product of the 2**_RENORM_LEVELS words :func:`_tree_product`
+      multiplies before its first renormalization below
+      (2*sqrt(l) + 1)**(8L), which must stay at most 2**_ENTRY_BITS_MAX =
+      2**256, far inside double range (2e51 on the golden mean at L = 11).
+
+    The second cap alone ends a near-deterministic shift, such as the
+    2-cycle with nb = 1 and two words at every length (L = 16 there)."""
+    l = measure.spec.alphabet_size
+    nb = len(_thresholds(measure)[1]) + 1
+    entry_bits = 8 * math.log2(2 * math.sqrt(l) + 1)
+    allowed = np.array(measure.spec.allowed, dtype=np.int64)
+    ends = allowed.sum(axis=0)  # admissible 2-letter words by last letter
     length = 1
-    while alphabet_size ** (length + 2) <= _WORD_TABLE_MAX:
+    while True:
+        ends = ends @ allowed  # (length + 2)-letter words, at most 512 * l
+        if (
+            ends.sum() > _WORD_TABLE_MAX
+            or l * nb ** (length + 1) > _WALK_POSITIONS_MAX
+            or entry_bits * (length + 1) > _ENTRY_BITS_MAX
+        ):
+            return length
         length += 1
-    return length
 
 
 @dataclass(frozen=True)
@@ -116,22 +139,21 @@ def _step_table(measure: MarkovMeasure, k_values: Sequence[float]) -> np.ndarray
     return table
 
 
-def _word_table(steps: np.ndarray, l: int, length: int) -> np.ndarray:
-    """Entries of the ``length``-step product A(w_L-1, w_L) ... A(w_0, w_1) for
-    every (length+1)-letter word, indexed base l with w_0 most significant,
-    shape (4, n_k, l**(length+1)).  Words containing a forbidden pair hold NaN."""
-    table = steps
-    for _ in range(length - 1):
-        # appending letter c to word w gives index w*l + c and the step (w % l, c)
-        words = np.repeat(np.arange(table.shape[-1]), l)
-        step = steps[:, :, (words % l) * l + np.tile(np.arange(l), table.shape[-1])]
-        table = _mul(step, table[:, :, words])
+def _word_table(steps: np.ndarray, l: int, words: np.ndarray) -> np.ndarray:
+    """Entries of the L-step product A(w_L-1, w_L) ... A(w_0, w_1) of every
+    word w_0 ... w_L in the rows of words (n_words, L+1), shape
+    (4, n_k, n_words), each step multiplied on the left of the ones before."""
+    pairs = words[:, :-1] * l + words[:, 1:]
+    table = steps[:, :, pairs[:, 0]]
+    for m in range(1, pairs.shape[1]):
+        table = _mul(steps[:, :, pairs[:, m]], table)
     return table
 
 
 def _mul(a: np.ndarray, m: np.ndarray) -> np.ndarray:
-    """Elementwise 2x2 products a @ m over stacked (a11, a12, a21, a22) entries."""
-    out = np.empty(np.broadcast_shapes(a.shape, m.shape))
+    """Elementwise 2x2 products a @ m over stacked (a11, a12, a21, a22)
+    entries; a and m have equal shapes."""
+    out = np.empty(a.shape)
     tmp = np.empty(out.shape[1:])
     for i in (0, 2):
         for j in (0, 1):
@@ -158,35 +180,48 @@ def _bit_reversal(size: int) -> np.ndarray:
     return rev
 
 
-def _word_slots(chunks: np.ndarray) -> np.ndarray:
-    """The word index s*l**L + sum_m chunks[s, code, m] * l**(L-1-m) of the
-    (L+1)-letter word that a walk position s*nb**L + code of the sampler's
-    chunk table (l, nb**L, L) stands for: the letter before the chunk, then
-    its L letters, in base l."""
-    l, _, length = chunks.shape
-    words = chunks @ l ** np.arange(length - 1, -1, -1)
-    words += np.arange(l)[:, None] * l**length
-    return words.ravel()
+def _word_slots(chunks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The (L+1)-letter words that the walk positions s*nb**L + code of the
+    sampler's chunk table (l, nb**L, L) stand for: the letter s before the
+    chunk, then its L letters.  Returns each position's word id, shape
+    (l*nb**L,), and the letters of the distinct words in id order, shape
+    (n_words, L+1).  The walk steps only along allowed pairs and reaches
+    every admissible word, so n_words is the count of :func:`_word_steps`."""
+    l, nbk, length = chunks.shape
+    letters = np.empty((l * nbk, length + 1), dtype=np.intp)
+    letters[:, 0] = np.arange(l).repeat(nbk)
+    letters[:, 1:] = chunks.reshape(-1, length)
+    ids, n = letters[:, 0], l
+    for m in range(1, length + 1):  # number the distinct (m+1)-letter prefixes in order
+        key = ids * l + letters[:, m]
+        seen = np.zeros(n * l, dtype=bool)
+        seen[key] = True
+        ids, n = (np.cumsum(seen) - 1)[key], int(np.count_nonzero(seen))
+    words = np.empty((n, length + 1), dtype=np.intp)
+    words[ids] = letters  # every position of a word holds the same letters
+    return ids, words
 
 
 def _block_slots(
-    pos: np.ndarray, b: int, chunks: np.ndarray, words: np.ndarray, step0: int, pad: int
+    pos: np.ndarray, b: int, chunks: np.ndarray, ids: np.ndarray, step0: int, pad: int
 ) -> np.ndarray:
     """Indices into the combined table of a sampler block of b letters, from
     its walk positions pos (chunks, lanes) in chunks of L letters, shape
-    (P, lanes) with P the next power of two: the word words[pos] of every
-    whole chunk (the table of :func:`_word_slots`), then the leftover single
+    (P, lanes) with P the next power of two: the word id ids[pos] of every
+    whole chunk (the map of :func:`_word_slots`), then the leftover single
     steps step0 + x*l + y of the r = b % L letters of a last partial chunk,
     read off its row of chunks after the letter before it, pos // nb**L,
-    then identity padding (index pad).  Time t is stored at row bitrev(t), so
-    that the later half of every level of :func:`_tree_product` is its upper
-    half."""
+    then identity padding (index pad).  A whole block of the walk is 2**m
+    whole chunks, so it fills P = 2**m slots with words alone; only a short
+    last block has leftover steps or padding.  Time t is stored at row
+    bitrev(t), so that the later half of every level of :func:`_tree_product`
+    is its upper half."""
     l, nbk, length = chunks.shape
     whole, r = divmod(b, length)
     n = whole + r
     rev = _bit_reversal(1 << (n - 1).bit_length())
     slots = np.full((len(rev), pos.shape[1]), pad, dtype=np.intp)
-    slots[rev[:whole]] = words[pos[:whole]]
+    slots[rev[:whole]] = ids[pos[:whole]]
     if r:
         tail = pos[whole]
         full = np.concatenate(((tail // nbk)[:, None], chunks.reshape(-1, length)[tail, :r]), axis=1)
@@ -240,12 +275,13 @@ def _mc_rates(
 ) -> np.ndarray:
     """Per-sample rates, shape (len(k_values), n_samples).
 
-    The sampler walks each block of up to _BLOCK letters in chunks of
-    L = _word_steps(l) letters; :func:`_block_slots` turns its walk positions
-    into one slot per whole (L+1)-letter word (the letter before the chunk
-    and the chunk), one per leftover single step and identity padding up to
-    a power of two, gathered from one combined table (words | steps |
-    identity) per energy; no letters are built for whole chunks.
+    The sampler walks blocks of L * 2**m letters in chunks of
+    L = _word_steps(measure) letters; :func:`_block_slots` turns its walk
+    positions into one slot per whole (L+1)-letter word (the letter before
+    the chunk and the chunk) and, in a short last block, one per leftover
+    single step and identity padding up to a power of two, gathered from one
+    combined table (admissible words | steps | identity) per energy; no
+    letters are built for whole chunks.
     :func:`_tree_product` multiplies the slots as a balanced tree and
     :func:`_advance` applies the block's product to the running lane
     product.  The work runs in chunks of energies, or of lanes, that keep
@@ -253,21 +289,21 @@ def _mc_rates(
     depends only on the block, so the chunks never change a bit of the
     result."""
     l = measure.spec.alphabet_size
-    length = _word_steps(l)
+    length = _word_steps(measure)
+    _, chunks, walk = _lane_walk(measure, [(int(seed), i) for i in range(n_samples)], n_steps + 1, length)
+    ids, words = _word_slots(chunks)
     steps = _step_table(measure, k_values)
     eye = np.zeros((4, len(k_values), 1))
     eye[0] = eye[3] = 1.0
-    table = np.concatenate((_word_table(steps, l, length), steps, eye), axis=2)
-    step0, pad = l ** (length + 1), table.shape[2] - 1
+    table = np.concatenate((_word_table(steps, l, words), steps, eye), axis=2)
+    step0, pad = len(words), table.shape[2] - 1
 
     m = np.zeros((4, len(k_values), n_samples))
     m[0] = m[3] = 1.0
     logs = np.zeros((len(k_values), n_samples))
 
-    _, chunks, walk = _lane_walk(measure, [(int(seed), i) for i in range(n_samples)], n_steps + 1, length)
-    words = _word_slots(chunks)
     for b, pos in walk:
-        slots = _block_slots(pos, b, chunks, words, step0, pad)
+        slots = _block_slots(pos, b, chunks, ids, step0, pad)
         for ks, lanes in _chunks(len(k_values), n_samples, 4 * len(slots)):
             mats = np.take(table[:, ks], slots[:, lanes], axis=2)
             root = _tree_product(mats, logs[ks, lanes])

@@ -18,13 +18,15 @@ interior cumulative transition weights strictly inside (0, 1): a weight
 ``<= 0`` is always ``<= u`` and a weight ``>= 1`` never is, since ``u`` lies in
 [0, 1).  So there are only ``nb = len(Theta) + 1`` step maps.  Per call the
 sampler tabulates, for every letter and every code of k buckets, the k
-letters that follow.  Each block of up to 1024 letters draws every lane's
-uniforms into a row, turns them into bucket codes, and walks the lanes with
-one table gather per k letters.  The walk yields positions
-``s * nb**k + code``, s the letter before a chunk and code its k buckets:
-the block's letters are one gather of table rows away (:func:`_lane_blocks`),
-and the Monte-Carlo kernel reads its word slots off the positions directly,
-walking chunks of exactly its word length L.  Otherwise k is the longest
+letters that follow.  Each block of k * 2**m letters, the largest
+power-of-two count of whole chunks within 1024 letters (the last block may
+be shorter), draws every lane's uniforms into a row, turns them into bucket
+codes, and walks the lanes with one table gather per k letters.  The block
+length never changes a letter: each lane reads one stream.  The walk yields
+positions ``s * nb**k + code``, s the letter before a chunk and code its k
+buckets: the block's letters are one gather of table rows away
+(:func:`_lane_blocks`), and the Monte-Carlo kernel reads its word slots off
+the positions directly, walking chunks of exactly its word length L.  Otherwise k is the longest
 chunk whose table has at most ``min(256, letters to walk)`` codes (k = 8 with
 one threshold, as on the uniform full shift and on the golden mean with
 weights 1/2).
@@ -97,9 +99,9 @@ def stationary_markov(spec: SubshiftSpec, transition) -> MarkovMeasure:
 
 def _lane_blocks(measure: MarkovMeasure, seeds, n_letters: int) -> Iterator[np.ndarray]:
     """The contract's 0-based letters, n_letters per lane (one per seed), as new
-    arrays: each lane's first letter alone, shape (lanes, 1), then blocks of
-    shape (lanes, b), b <= _BLOCK, emitted by :func:`_block_letters` from the
-    positions of :func:`_lane_walk`."""
+    arrays: each lane's first letter alone, shape (lanes, 1), then the blocks
+    of :func:`_lane_walk`, shape (lanes, b), b <= _BLOCK, emitted by
+    :func:`_block_letters` from its positions."""
     first, chunks, walk = _lane_walk(measure, seeds, n_letters)
     yield first[:, None]
     for b, pos in walk:
@@ -112,23 +114,34 @@ def _lane_walk(
     """The contract's walk over n_letters letters per lane (one per seed):
     each lane's 0-based first letter, shape (lanes,); the table chunks of
     :func:`_chunk_tables`, in chunks of k letters (by default its
-    length-capped k); and an iterator over the blocks after the first letter,
-    b <= _BLOCK letters each, that yields (b, pos), pos the positions of
-    :func:`_walk_block`, shape (ceil(b / k), lanes)."""
+    length-capped k); and an iterator over the blocks after the first letter
+    that yields (b, pos), pos the positions of :func:`_walk_block`, shape
+    (ceil(b / k), lanes).  Every block but the last has b = k * 2**m letters,
+    the largest power-of-two count of whole chunks within _BLOCK letters, so
+    it is 2**m whole chunks; the last block may be shorter.  The letters do
+    not depend on the block length: each lane draws one stream."""
     gens = [np.random.Generator(np.random.PCG64(np.random.SeedSequence(s))) for s in seeds]
     stationary_cum = np.cumsum(measure.stationary)[:-1].tolist()
     first = np.array([bisect_right(stationary_cum, g.random()) for g in gens], dtype=np.intp)
     theta, chunks, last = _chunk_tables(measure, n_letters - 1, k)
     rows = chunks.reshape(-1, chunks.shape[2])
+    block = rows.shape[1] << ((_BLOCK // rows.shape[1]).bit_length() - 1)  # k * 2**m
 
     def blocks(cur):
-        for done in range(1, n_letters, _BLOCK):
-            b = min(_BLOCK, n_letters - done)
+        for done in range(1, n_letters, block):
+            b = min(block, n_letters - done)
             pos = _walk_block(gens, theta, chunks, last, cur, b)
             cur = rows[pos[-1], (b - 1) % rows.shape[1]]  # the block's last letter
             yield b, pos
 
     return first, chunks, blocks(first.copy())  # callers may change first
+
+
+def _thresholds(measure: MarkovMeasure) -> tuple[list[list[float]], list[float]]:
+    """Each row's interior cumulative transition weights, and Theta: their
+    distinct values strictly inside (0, 1), sorted (module docstring)."""
+    interior_rows = np.cumsum(measure.transition, axis=1)[:, :-1].tolist()
+    return interior_rows, sorted({x for row in interior_rows for x in row if 0.0 < x < 1.0})
 
 
 def _chunk_tables(
@@ -146,8 +159,7 @@ def _chunk_tables(
     its smallest member: 0.0 for q = 0, Theta[q-1] after (module docstring).
     Cumulative weights never decrease along a row, so bisect_right counts the
     weights <= that member."""
-    interior_rows = np.cumsum(measure.transition, axis=1)[:, :-1].tolist()
-    theta = sorted({x for row in interior_rows for x in row if 0.0 < x < 1.0})
+    interior_rows, theta = _thresholds(measure)
     nb = len(theta) + 1
     step = np.array([[bisect_right(row, x) for x in (0.0, *theta)] for row in interior_rows])
     if k is None:

@@ -28,7 +28,7 @@ from sftlab import (
 )
 import sftlab.lyapunov as lyapunov_module
 from sftlab.lyapunov import _block_slots, _mc_rates, _word_slots, _word_steps
-from sftlab.measure import _BLOCK, _lane_walk
+from sftlab.measure import _BLOCK, _lane_walk, _thresholds
 
 FULL = validate_spec(2, [])
 GOLDEN = validate_spec(2, [(2, 2)])
@@ -41,6 +41,27 @@ FULL25_UNIFORM = stationary_markov(validate_spec(25, []), np.full((25, 25), 0.04
 # thresholds 0.3 and 0.9: three buckets, so the sampler's own chunk length
 # (5, the longest with at most 256 codes) differs from the word length L = 8
 TWO_THRESHOLDS = stationary_markov(FULL, [[0.3, 0.7], [0.9, 0.1]])
+# near-deterministic: nb = 1 and two words at every length, so only the
+# entry-growth cap ends the word length
+TWO_CYCLE = stationary_markov(validate_spec(2, [(1, 1), (2, 2)]), [[0.0, 1.0], [1.0, 0.0]])
+# each letter has two successors: 512 words of 8 letters, but five buckets
+# give 4 * 5**7 walk positions, above 2**16, so the walk cap sets L = 6
+SPARSE4 = stationary_markov(
+    validate_spec(4, [(1, 1), (2, 2), (3, 3), (4, 4), (1, 3), (3, 1), (2, 4), (4, 2)]),
+    [[0.0, 0.3, 0.0, 0.7], [0.6, 0.0, 0.4, 0.0], [0.0, 0.5, 0.0, 0.5], [0.2, 0.0, 0.8, 0.0]],
+)
+# the kernel's shapes: word length L and letters per whole sampler block,
+# L * 2**m with 2**m whole words the most that fit in _BLOCK letters
+KERNEL_SHAPES = {
+    "full": (FULL_UNIFORM, 8, 1024),
+    "golden": (GOLDEN_HALF, 11, 704),
+    "three": (THREE_MARKOV, 6, 768),
+    "full4": (FULL4_UNIFORM, 3, 768),
+    "full25": (FULL25_UNIFORM, 1, 1024),
+    "nb3": (TWO_THRESHOLDS, 8, 1024),
+    "cycle2": (TWO_CYCLE, 16, 1024),
+    "sparse4": (SPARSE4, 6, 768),
+}
 P1 = PeriodicPoint.from_letters((1,))
 P12 = PeriodicPoint.from_letters((1, 2))
 LN2_OVER_2 = 0.34657359027997264
@@ -165,23 +186,19 @@ def test_mc_grid_matches_single_energy_calls():
         assert est == single
 
 
-@pytest.mark.parametrize(
-    "measure, length",
-    [(GOLDEN_HALF, 8), (THREE_MARKOV, 4), (FULL4_UNIFORM, 3), (FULL25_UNIFORM, 1), (TWO_THRESHOLDS, 8)],
-    ids=["golden", "three", "full4", "full25", "nb3"],
-)
-def test_block_slots_match_sample_window(measure, length):
+@pytest.mark.parametrize("name", ["golden", "three", "full4", "full25", "nb3", "cycle2", "sparse4"])
+def test_block_slots_match_sample_window(name):
     # sample i of the estimator walks exactly the letters of
     # sample_window(measure, -1, n_steps - 1, seed=(seed, i)) in chunks of
-    # L letters; with the bit-reversal undone, each block's slots are its
-    # whole words, its leftover single steps and identity padding, over
-    # several sampler blocks and a short last one, down to a single letter
+    # L letters; with the bit-reversal undone, each whole block's slots are
+    # its 2**m words, and a short last block's are its whole words, its
+    # leftover single steps and identity padding, down to a single letter
     # whose step starts at the previous block's last letter
+    measure, length, block = KERNEL_SHAPES[name]
     l = measure.spec.alphabet_size
-    assert _word_steps(l) == length
-    step0, pad = l ** (length + 1), l ** (length + 1) + l * l
+    assert _word_steps(measure) == length
     n_samples, seed = 3, 8
-    for n_steps in (2 * _BLOCK + 37, 2 * _BLOCK + 1):
+    for n_steps in (2 * block + 37, 2 * block + 1):
         windows = [
             [a - 1 for a in sample_window(measure, -1, n_steps - 1, (seed, i)).letters]
             for i in range(n_samples)
@@ -190,57 +207,90 @@ def test_block_slots_match_sample_window(measure, length):
         first, chunks, walk = _lane_walk(measure, seeds, n_steps + 1, length)
         assert chunks.shape[2] == length
         assert first.tolist() == [w[0] for w in windows]
-        words = _word_slots(chunks)
+        ids, words = _word_slots(chunks)
+        step0 = len(words)
+        pad = step0 + l * l
         sizes, t0 = [], 0
         for b, pos in walk:
-            slots = _block_slots(pos, b, chunks, words, step0, pad)
+            slots = _block_slots(pos, b, chunks, ids, step0, pad)
             bits = len(slots).bit_length() - 1
             rows = [int(format(t, f"0{bits}b")[::-1], 2) for t in range(len(slots))]
             whole = b - b % length
             for i, w in enumerate(windows):
                 full = w[t0 : t0 + b + 1]
-                expected = [
-                    sum(full[j + m] * l ** (length - m) for m in range(length + 1))
-                    for j in range(0, whole, length)
+                got = [int(slots[r, i]) for r in rows]
+                n_words = whole // length
+                assert all(x < step0 for x in got[:n_words])
+                assert [words[x].tolist() for x in got[:n_words]] == [
+                    full[j : j + length + 1] for j in range(0, whole, length)
                 ]
-                expected += [step0 + full[t] * l + full[t + 1] for t in range(whole, b)]
-                assert len(slots) == 1 << (len(expected) - 1).bit_length()
-                expected += [pad] * (len(slots) - len(expected))
-                assert [int(slots[r, i]) for r in rows] == expected
+                expected = [step0 + full[t] * l + full[t + 1] for t in range(whole, b)]
+                assert len(slots) == 1 << (n_words + len(expected) - 1).bit_length()
+                expected += [pad] * (len(slots) - n_words - len(expected))
+                assert got[n_words:] == expected
             sizes.append(b)
             t0 += b
-        assert sizes == [_BLOCK, _BLOCK, n_steps - 2 * _BLOCK]
+            if b == block:  # a whole block is words alone, with no padding
+                assert len(slots) == block // length
+        assert sizes == [block, block, n_steps - 2 * block]
         assert t0 == n_steps
 
 
-def test_word_steps_from_alphabet_size():
-    assert [_word_steps(l) for l in (2, 3, 4, 5, 8, 9, 22, 23, 40)] == [8, 4, 3, 2, 2, 1, 1, 1, 1]
-    for l in range(2, 40):
-        assert l ** (_word_steps(l) + 1) <= 512 or _word_steps(l) == 1
-        assert l ** (_word_steps(l) + 2) > 512
+def test_word_steps_follow_admissible_words():
+    # L is the longest length with at most 512 admissible (L+1)-letter
+    # words, unless the walk's positions or the entry bound cap it first:
+    # the 2-cycle has two words at every length, so only the entry bound
+    # ends it, and the sparse 4-letter shift has 512 words of 8 letters but
+    # too many walk positions for them
+    assert {name: _word_steps(m) for name, (m, _, _) in KERNEL_SHAPES.items()} == {
+        name: length for name, (_, length, _) in KERNEL_SHAPES.items()
+    }
+    assert _word_steps(stationary_markov(THREE, [[1 / 3] * 3, [0.5, 0.0, 0.5], [0.0, 0.5, 0.5]])) == 6
+    stops = {}
+    for name, (measure, length, block) in KERNEL_SHAPES.items():
+        l = measure.spec.alphabet_size
+        nb = len(_thresholds(measure)[1]) + 1
+        assert l * nb**length <= 1 << 16, name
+        assert (2 * math.sqrt(l) + 1) ** (8 * length) <= 2.0**256, name
+        words_per_block = block // length
+        assert block % length == 0 and words_per_block & (words_per_block - 1) == 0, name
+        assert block <= _BLOCK < 2 * block, name
+
+        def count(n):  # admissible n-letter words, listed one letter at a time
+            words = [(a,) for a in range(l)]
+            for _ in range(n - 1):
+                words = [w + (b,) for w in words for b in range(l) if measure.spec.allowed[w[-1]][b]]
+            return len(words)
+
+        assert count(length + 1) <= 512 or length == 1, name  # L = 1 is the floor
+        if count(length + 2) > 512:
+            stops[name] = "words"
+        elif l * nb ** (length + 1) > 1 << 16:
+            stops[name] = "walk"
+        else:
+            assert (2 * math.sqrt(l) + 1) ** (8 * length + 8) > 2.0**256, name
+            stops[name] = "entries"
+    assert stops == {name: "words" for name in KERNEL_SHAPES} | {"cycle2": "entries", "sparse4": "walk"}
 
 
 def test_mc_rates_match_per_step_product():
     # oracle: the every-step renormalized scalar product on the sample's own
-    # letters; 2*_BLOCK + 37 steps make the sampler's last block short, so
+    # letters; 2*block + 37 steps make the sampler's last block short, so
     # the leftover single steps after the last whole word run as well, and
-    # 2*_BLOCK + 1 leave a last block of one step.  On four letters (L = 3)
-    # a whole block is 341 words and 1 step, padded to 512 slots; on 25
-    # letters (L = 1) every slot is a single step.
+    # 2*block + 1 leave a last block of one step.  On 25 letters (L = 1)
+    # every slot is a single step; the 2-cycle's words have 17 letters.
     n_samples, seed = 4, 2024
     ks = [0.31, 1.2, math.pi / 2, 2.7]
-    assert [_word_steps(m.spec.alphabet_size) for m in (FULL4_UNIFORM, FULL25_UNIFORM)] == [3, 1]
-    measures = (FULL_UNIFORM, GOLDEN_HALF, THREE_MARKOV, FULL4_UNIFORM, FULL25_UNIFORM, TWO_THRESHOLDS)
-    for measure, n_steps in itertools.product(measures, (2 * _BLOCK + 37, 2 * _BLOCK + 1)):
-        rates = _mc_rates(measure, ks, n_steps, n_samples, seed)
-        assert rates.shape == (len(ks), n_samples)
-        # words holding a forbidden pair are NaN in the table: never read
-        assert np.all(np.isfinite(rates))
-        for i in range(n_samples):
-            word = sample_window(measure, -1, n_steps - 1, (seed, i))
-            for a, k in enumerate(ks):
-                oracle = growth_rate(cocycle_product(k, word), n_steps)
-                assert rates[a, i] == pytest.approx(oracle, rel=0, abs=1e-12)
+    for measure, length, block in KERNEL_SHAPES.values():
+        for n_steps in (2 * block + 37, 2 * block + 1):
+            rates = _mc_rates(measure, ks, n_steps, n_samples, seed)
+            assert rates.shape == (len(ks), n_samples)
+            assert np.all(np.isfinite(rates))
+            for i in range(n_samples):
+                word = sample_window(measure, -1, n_steps - 1, (seed, i))
+                for a, k in enumerate(ks):
+                    oracle = growth_rate(cocycle_product(k, word), n_steps)
+                    assert rates[a, i] == pytest.approx(oracle, rel=0, abs=1e-12)
 
 
 def _record_gathered(monkeypatch, record):
@@ -255,13 +305,14 @@ def _record_gathered(monkeypatch, record):
     monkeypatch.setattr(lyapunov_module, "_tree_product", spy)
 
 
-@pytest.mark.parametrize("measure", [GOLDEN_HALF, THREE_MARKOV], ids=["golden", "three"])
-def test_mc_results_independent_of_gather_schedule(monkeypatch, measure):
+@pytest.mark.parametrize("name", ["golden", "three"])
+def test_mc_results_independent_of_gather_schedule(monkeypatch, name):
     # the tree's association order depends only on the sampler block, so a
-    # budget small enough to split the energies (last block) and the lanes
-    # (whole blocks) into several chunks leaves every bit unchanged
+    # budget small enough to split the energies (the short last block) and
+    # the lanes (whole blocks) into several chunks leaves every bit unchanged
+    measure, _, block = KERNEL_SHAPES[name]
     ks = [float(k) for k in np.linspace(0.2, 2.9, 12)]
-    n_steps, n_samples, seed = _BLOCK + 20, 6, 41
+    n_steps, n_samples, seed = 2 * block + 20, 6, 41
     default_grid = lyapunov_mc_grid(measure, ks, n_steps, n_samples, seed)
     default_single = [lyapunov_mc(measure, k, n_steps, n_samples, seed) for k in ks]
 

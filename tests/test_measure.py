@@ -159,8 +159,9 @@ def test_sample_window_tuple_seed():
 def test_sample_window_matches_contract_reference(make):
     mu = make()
     # lengths 1 (first letter only), 2 (one step), 51 and 54 (one short block)
-    # and 2*_BLOCK + 37 (whole blocks and a short last one); walks of 53 and
-    # 37 letters are not whole chunks for any k > 1 these measures get
+    # and 2*_BLOCK + 37 (whole blocks of k * 2**m letters and a short last
+    # one, a partial chunk for k = 3, 5 and 8); a walk of 53 letters is not
+    # whole chunks for any k > 1 these measures get
     for seed in (2024, (7, 3)):
         for length in (1, 2, 51, 54, 2 * _BLOCK + 37):
             assert sample_window(mu, -1, length - 2, seed).letters == contract_window(mu, length, seed)
@@ -221,24 +222,28 @@ def test_lane_blocks_lanes_match_one_lane_windows(make):
 @pytest.mark.parametrize("make", [golden_half, three_bench, two_thresholds, four_letters])
 def test_lane_walk_any_chunk_length_matches_contract(make):
     # the Monte-Carlo kernel walks chunks of its word length, not the
-    # sampler's default k: any chunk length walks the contract's letters,
-    # and every position holds the letter before its chunk
+    # sampler's default k: any chunk length walks the contract's letters in
+    # blocks of k * 2**m letters (2**m whole chunks, the most within _BLOCK)
+    # and a short last block, and every position holds the letter before
+    # its chunk
     mu = make()
     seeds = [(9, i) for i in range(5)]
     n_letters = 2 * _BLOCK + 2
     expected = np.array([contract_window(mu, n_letters, seed) for seed in seeds]) - 1
     nb = len(_chunk_tables(mu, 1)[0]) + 1
-    for k in (1, 2, 3, 4, 8):
+    for k, block in ((1, 1024), (2, 1024), (3, 768), (4, 1024), (8, 1024)):
         if nb**k > 8192:
             continue
         first, chunks, walk = _lane_walk(mu, seeds, n_letters, k)
         assert chunks.shape[2] == k
-        letters, t0 = [first[:, None]], 1
+        letters, sizes, t0 = [first[:, None]], [], 1
         for b, pos in walk:
             assert pos.shape == (-(-b // k), len(seeds))
             assert np.array_equal(pos // chunks.shape[1], expected[:, t0 - 1 : t0 - 1 + b : k].T)
             letters.append(_block_letters(chunks, pos, b))
+            sizes.append(b)
             t0 += b
+        assert sizes == [block, block, n_letters - 1 - 2 * block]
         assert np.array_equal(np.concatenate(letters, axis=1), expected)
 
 
