@@ -21,7 +21,9 @@ r leftover letters of a partial chunk, one slot per single step, and
 identity padding up to a power of two.  The slots are multiplied as a
 balanced tree (later half on the left, renormalized every third level); the
 block's product then advances the running lane product.
-Blocks are gathered in chunks of energies, or of lanes, of at most
+Energies sit on the innermost axis of every kernel array, so gathering a
+slot copies one contiguous row of all energies.  Blocks are gathered in
+chunks of lanes with every energy, or of energies for one lane, of at most
 ``_GATHER_BUDGET`` elements.
 
 The estimate is the sample mean; stderr is the sample standard deviation over
@@ -127,26 +129,27 @@ def lyapunov_periodic(p: PeriodicPoint, k: float) -> float:
 
 def _step_table(measure: MarkovMeasure, k_values: Sequence[float]) -> np.ndarray:
     """Entries (a11, a12, a21, a22) of the single-step matrix for every letter
-    pair index (prev-1)*l + (cur-1), shape (4, n_k, l*l); NaN on forbidden
-    pairs."""
+    pair index (prev-1)*l + (cur-1), shape (4, l*l, n_k) with energies last;
+    NaN on forbidden pairs."""
     l = measure.spec.alphabet_size
-    table = np.full((4, len(k_values), l * l), np.nan)
+    table = np.full((4, l * l, len(k_values)), np.nan)
     for a, k in enumerate(k_values):
         for prev in measure.spec.letters:
             for cur in measure.spec.letters:
                 if measure.spec.allowed[prev - 1][cur - 1]:
-                    table[:, a, (prev - 1) * l + (cur - 1)] = a_matrix(k, prev, cur)
+                    table[:, (prev - 1) * l + (cur - 1), a] = a_matrix(k, prev, cur)
     return table
 
 
 def _word_table(steps: np.ndarray, l: int, words: np.ndarray) -> np.ndarray:
     """Entries of the L-step product A(w_L-1, w_L) ... A(w_0, w_1) of every
     word w_0 ... w_L in the rows of words (n_words, L+1), shape
-    (4, n_k, n_words), each step multiplied on the left of the ones before."""
+    (4, n_words, n_k) like the steps (4, l*l, n_k), each step multiplied on
+    the left of the ones before."""
     pairs = words[:, :-1] * l + words[:, 1:]
-    table = steps[:, :, pairs[:, 0]]
+    table = steps[:, pairs[:, 0]]
     for m in range(1, pairs.shape[1]):
-        table = _mul(steps[:, :, pairs[:, m]], table)
+        table = _mul(steps[:, pairs[:, m]], table)
     return table
 
 
@@ -162,12 +165,19 @@ def _mul(a: np.ndarray, m: np.ndarray) -> np.ndarray:
     return out
 
 
+def _renormalize(mats: np.ndarray) -> np.ndarray:
+    """Divide stacked (a11, a12, a21, a22) entries in place by each matrix's
+    max absolute entry and return its log."""
+    mag = np.abs(mats).max(axis=0)
+    mats /= mag
+    return np.log(mag)
+
+
 def _advance(a: np.ndarray, m: np.ndarray, logs: np.ndarray) -> np.ndarray:
     """a @ m renormalized by its max entry, whose log is added to logs in place."""
     prod = _mul(a, m)
-    mag = np.abs(prod).max(axis=0)
-    logs += np.log(mag)
-    return prod / mag
+    logs += _renormalize(prod)
+    return prod
 
 
 @lru_cache(maxsize=None)
@@ -230,44 +240,45 @@ def _block_slots(
 
 
 def _tree_product(mats: np.ndarray, logs: np.ndarray) -> np.ndarray:
-    """Time-ordered product of the P slots of mats, shape (4, n_k, P, lanes) in
+    """Time-ordered product of the P slots of mats, shape (4, P, lanes, n_k) in
     :func:`_block_slots` order (the cached :func:`_bit_reversal`), as a
-    balanced tree: each level multiplies the upper half (later times) onto
-    the lower half.  Every _RENORM_LEVELS levels below the root each slot is
-    divided by its max entry, whose logs are folded pairwise over the slots
-    and added to logs (n_k, lanes) in place; all of it is elementwise per
-    energy and lane (a numpy sum over the slot axis is not: its order follows
-    the array's shape).
+    balanced tree along axis 1: each level multiplies the upper half (later
+    times) onto the lower half.  Every _RENORM_LEVELS levels below the root
+    each slot is divided by its max entry, whose logs are folded pairwise
+    over the slot axis and added to logs (lanes, n_k) in place; all of it is
+    elementwise per energy and lane (a numpy sum over the slot axis is not:
+    its order follows the array's shape).  Returns the root, (4, lanes, n_k).
 
     Entries stay in range: below the first renormalization they are bounded
     as in :func:`_word_steps`; after it a slot has max entry 1 and row sums at
     most 2, so _RENORM_LEVELS further levels give row sums at most 2**8, and
     the root, renormalized by :func:`_advance`, no more."""
     level = 0
-    while mats.shape[2] > 1:
-        h = mats.shape[2] // 2
-        mats = _mul(mats[:, :, h:], mats[:, :, :h])
+    while mats.shape[1] > 1:
+        h = mats.shape[1] // 2
+        mats = _mul(mats[:, h:], mats[:, :h])
         level += 1
         if level % _RENORM_LEVELS == 0 and h > 1:
-            mag = np.abs(mats).max(axis=0)
-            mats /= mag
-            lg = np.log(mag)
-            while lg.shape[1] > 1:
-                lg = lg[:, lg.shape[1] // 2 :] + lg[:, : lg.shape[1] // 2]
-            logs += lg[:, 0]
-    return mats[:, :, 0]
+            lg = _renormalize(mats)
+            while len(lg) > 1:
+                lg = lg[len(lg) // 2 :] + lg[: len(lg) // 2]
+            logs += lg[0]
+    return mats[:, 0]
 
 
-def _chunks(n_k: int, n_lanes: int, slot_elements: int) -> Iterator[tuple[slice, slice]]:
-    """(energies, lanes) slices whose gathered blocks hold at most _GATHER_BUDGET
-    elements at slot_elements per energy and lane: runs of energies with every
-    lane while one energy fits, else runs of lanes of one energy."""
-    per_k = n_lanes * slot_elements
-    k_run = max(1, _GATHER_BUDGET // per_k)
-    lane_run = n_lanes if per_k <= _GATHER_BUDGET else max(1, _GATHER_BUDGET // slot_elements)
+def _chunks(n_k: int, n_lanes: int, slot_elements: int) -> Iterator[tuple[slice, list[slice]]]:
+    """Runs of energies, each with its runs of lanes, whose gathered blocks
+    hold at most _GATHER_BUDGET elements at slot_elements per energy and
+    lane: every energy with runs of lanes while one lane fits, else runs of
+    energies with one lane at a time.  An empty grid has no chunks."""
+    if n_k == 0:
+        return
+    per_lane = n_k * slot_elements
+    lane_run = max(1, _GATHER_BUDGET // per_lane)
+    k_run = n_k if per_lane <= _GATHER_BUDGET else max(1, _GATHER_BUDGET // slot_elements)
+    lane_runs = [slice(s0, s0 + lane_run) for s0 in range(0, n_lanes, lane_run)]
     for k0 in range(0, n_k, k_run):
-        for s0 in range(0, n_lanes, lane_run):
-            yield slice(k0, k0 + k_run), slice(s0, s0 + lane_run)
+        yield slice(k0, k0 + k_run), lane_runs
 
 
 def _mc_rates(
@@ -284,35 +295,39 @@ def _mc_rates(
     letters are built for whole chunks.
     :func:`_tree_product` multiplies the slots as a balanced tree and
     :func:`_advance` applies the block's product to the running lane
-    product.  The work runs in chunks of energies, or of lanes, that keep
-    each gathered array within _GATHER_BUDGET elements; the association order
-    depends only on the block, so the chunks never change a bit of the
-    result."""
+    product.  Tables, running product (4, n_samples, n_k) and logs
+    (n_samples, n_k) keep energies last, so a gathered slot is one contiguous
+    row of every energy; the rates are transposed once at the end.  The work
+    runs in chunks of lanes, or of energies, that keep each gathered array
+    within _GATHER_BUDGET elements; the association order depends only on the
+    block, so the chunks never change a bit of the result."""
     l = measure.spec.alphabet_size
     length = _word_steps(measure)
     _, chunks, walk = _lane_walk(measure, [(int(seed), i) for i in range(n_samples)], n_steps + 1, length)
     ids, words = _word_slots(chunks)
     steps = _step_table(measure, k_values)
-    eye = np.zeros((4, len(k_values), 1))
+    eye = np.zeros((4, 1, len(k_values)))
     eye[0] = eye[3] = 1.0
-    table = np.concatenate((_word_table(steps, l, words), steps, eye), axis=2)
-    step0, pad = len(words), table.shape[2] - 1
+    table = np.concatenate((_word_table(steps, l, words), steps, eye), axis=1)
+    step0, pad = len(words), table.shape[1] - 1
 
-    m = np.zeros((4, len(k_values), n_samples))
+    m = np.zeros((4, n_samples, len(k_values)))
     m[0] = m[3] = 1.0
-    logs = np.zeros((len(k_values), n_samples))
+    logs = np.zeros((n_samples, len(k_values)))
 
     for b, pos in walk:
         slots = _block_slots(pos, b, chunks, ids, step0, pad)
-        for ks, lanes in _chunks(len(k_values), n_samples, 4 * len(slots)):
-            mats = np.take(table[:, ks], slots[:, lanes], axis=2)
-            root = _tree_product(mats, logs[ks, lanes])
-            m[:, ks, lanes] = _advance(root, m[:, ks, lanes], logs[ks, lanes])
+        for ks, lane_runs in _chunks(len(k_values), n_samples, 4 * len(slots)):
+            sub = np.ascontiguousarray(table[:, :, ks])  # a copy only if the energies split
+            for lanes in lane_runs:
+                mats = np.take(sub, slots[:, lanes], axis=1)
+                root = _tree_product(mats, logs[lanes, ks])
+                m[:, lanes, ks] = _advance(root, m[:, lanes, ks], logs[lanes, ks])
 
     q = m[0] * m[0] + m[1] * m[1] + m[2] * m[2] + m[3] * m[3]
     det = m[0] * m[3] - m[1] * m[2]
     smax = np.sqrt((q + np.sqrt(np.maximum(q * q - 4.0 * det * det, 0.0))) / 2.0)
-    return (logs + np.log(smax)) / n_steps
+    return np.ascontiguousarray(((logs + np.log(smax)) / n_steps).T)
 
 
 def _estimate_from_rates(row: np.ndarray, k: float, n_steps, n_samples, seed) -> LyapunovEstimate:

@@ -294,7 +294,7 @@ def test_mc_rates_match_per_step_product():
 
 
 def _record_gathered(monkeypatch, record):
-    """Pass every gathered block array of _mc_rates, shape (4, n_k, P, lanes),
+    """Pass every gathered block array of _mc_rates, shape (4, P, lanes, n_k),
     to record before its tree product."""
     tree_product = lyapunov_module._tree_product
 
@@ -308,8 +308,9 @@ def _record_gathered(monkeypatch, record):
 @pytest.mark.parametrize("name", ["golden", "three"])
 def test_mc_results_independent_of_gather_schedule(monkeypatch, name):
     # the tree's association order depends only on the sampler block, so a
-    # budget small enough to split the energies (the short last block) and
-    # the lanes (whole blocks) into several chunks leaves every bit unchanged
+    # budget small enough to split the energies (whole blocks, one lane at a
+    # time) and the lanes (the short last block) into several chunks leaves
+    # every bit unchanged
     measure, _, block = KERNEL_SHAPES[name]
     ks = [float(k) for k in np.linspace(0.2, 2.9, 12)]
     n_steps, n_samples, seed = 2 * block + 20, 6, 41
@@ -318,7 +319,7 @@ def test_mc_results_independent_of_gather_schedule(monkeypatch, name):
 
     shapes = []
     monkeypatch.setattr(lyapunov_module, "_GATHER_BUDGET", 1024)
-    _record_gathered(monkeypatch, lambda mats: shapes.append((mats.shape[1], mats.shape[3])))
+    _record_gathered(monkeypatch, lambda mats: shapes.append((mats.shape[3], mats.shape[2])))
     small_grid = lyapunov_mc_grid(measure, ks, n_steps, n_samples, seed)
     assert any(1 < n_k < len(ks) for n_k, _ in shapes)
     assert any(lanes < n_samples for _, lanes in shapes)
@@ -336,6 +337,29 @@ def test_mc_gathered_blocks_stay_within_budget(monkeypatch):
     assert np.all(np.isfinite(rates))
     assert len(sizes) > 1  # one energy, one sampler block: the lanes split
     assert max(sizes) <= lyapunov_module._GATHER_BUDGET
+
+
+def test_mc_gathers_contiguous_energy_rows(monkeypatch):
+    # energies are the innermost axis: at the default budget a 101-energy,
+    # 100-sample grid gathers whole-grid blocks (runs of lanes with every
+    # energy), each one C-contiguous array, so every slot is one row
+    ks = [float(k) for k in np.linspace(0.05, math.pi - 0.05, 101)]
+    shapes = []
+
+    def record(mats):
+        assert mats.flags.c_contiguous
+        shapes.append(mats.shape)
+
+    _record_gathered(monkeypatch, record)
+    rates = _mc_rates(GOLDEN_HALF, ks, 2000, 100, 5)
+    assert rates.shape == (101, 100) and rates.flags.c_contiguous
+    assert shapes and all(shape[3] == 101 for shape in shapes)
+    assert any(shape[2] < 100 for shape in shapes)  # the lanes do split
+
+
+def test_mc_empty_grid():
+    assert lyapunov_mc_grid(GOLDEN_HALF, [], 1000, 4, 3) == []
+    assert zero_set_scan(GOLDEN_HALF, [], 0.01, McParams(1000, 4, 3)) == []
 
 
 def _recursion_rates(measure, k, n_steps, n_samples, seed):
