@@ -175,7 +175,7 @@ class ResultTable:
 
 
 def _cycle_str(p) -> str:
-    return ",".join(str(a) for a in p.cycle.letters)
+    return ",".join(map(str, p.cycle.letters))
 
 
 def run_subcommand(

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .errors import EmptySubshift, NotTransitive, RangeMismatch
 
@@ -46,7 +46,7 @@ class Word:
     base_index: int = 0
 
     def __post_init__(self):
-        object.__setattr__(self, "letters", tuple(int(a) for a in self.letters))
+        object.__setattr__(self, "letters", tuple(map(int, self.letters)))
 
     def __len__(self) -> int:
         return len(self.letters)
@@ -81,7 +81,11 @@ class Word:
 @dataclass(frozen=True)
 class PeriodicPoint:
     """A primitive admissible cycle in canonical (lexicographically minimal)
-    rotation; stands for the bi-infinite periodic sequence repeating it."""
+    rotation; stands for the bi-infinite periodic sequence repeating it.
+
+    Such a cycle is a Lyndon word, which one linear pass accepts
+    (:func:`_is_lyndon`); only a rejected cycle goes through the primitivity
+    and rotation checks, so each rejection names its own reason."""
 
     cycle: Word
     period: int
@@ -89,19 +93,21 @@ class PeriodicPoint:
     def __post_init__(self):
         if self.cycle.base_index != 0:
             object.__setattr__(self, "cycle", Word(self.cycle.letters, 0))
-        n = len(self.cycle)
+        letters = self.cycle.letters
+        n = len(letters)
         if n == 0:
             raise ValueError("empty cycle")
         if self.period != n:
             raise ValueError(f"period {self.period} != cycle length {n}")
-        if not _is_primitive(self.cycle.letters):
-            raise ValueError(f"cycle {self.cycle.letters} is a repetition of a shorter cycle")
-        if self.cycle.letters != _canonical_rotation(self.cycle.letters):
-            raise ValueError(f"cycle {self.cycle.letters} is not in canonical rotation")
+        if not _is_lyndon(letters):
+            if not _is_primitive(letters):
+                raise ValueError(f"cycle {letters} is a repetition of a shorter cycle")
+            if letters != _canonical_rotation(letters):
+                raise ValueError(f"cycle {letters} is not in canonical rotation")
 
     @classmethod
     def from_letters(cls, letters: Sequence[int]) -> "PeriodicPoint":
-        letters = tuple(int(a) for a in letters)
+        letters = tuple(map(int, letters))
         return cls(Word(_canonical_rotation(letters), 0), len(letters))
 
     def letter(self, index: int) -> int:
@@ -133,6 +139,22 @@ def _is_primitive(letters: tuple[int, ...]) -> bool:
 
 def _canonical_rotation(letters: tuple[int, ...]) -> tuple[int, ...]:
     return min(letters[r:] + letters[:r] for r in range(len(letters)))
+
+
+def _is_lyndon(letters: tuple[int, ...]) -> bool:
+    """True iff ``letters`` is strictly smaller than each of its nontrivial
+    rotations, i.e. primitive and in canonical rotation, in one pass: p is
+    the length of the longest Lyndon prefix, a drop below letters[i - p]
+    ends the prenecklace and the word is Lyndon iff p ends at its length
+    (Ruskey, Savage & Wang 1992)."""
+    p = 1
+    for i in range(1, len(letters)):
+        a, b = letters[i - p], letters[i]
+        if b < a:
+            return False
+        if b > a:
+            p = i + 1
+    return p == len(letters)
 
 
 def validate_spec(alphabet_size: int, forbidden_pairs: Iterable[tuple[int, int]]) -> SubshiftSpec:
@@ -190,35 +212,68 @@ def is_admissible(spec: SubshiftSpec, word: Word) -> bool:
     )
 
 
-def _lyndon_words(alphabet_size: int, max_length: int) -> Iterator[tuple[int, ...]]:
-    """Every Lyndon word over 1..alphabet_size of length <= max_length, in
-    lexicographic order (Duval 1983): a word that is strictly smaller than
-    all its rotations, i.e. the canonical rotation of a primitive cycle."""
-    w = [1]
-    while w:
-        yield tuple(w)
-        n = len(w)
-        while len(w) < max_length:
-            w.append(w[len(w) - n])
-        while w and w[-1] == alphabet_size:
-            w.pop()
-        if w:
-            w[-1] += 1
+def _lyndon_words(spec: SubshiftSpec, max_length: int) -> list[tuple[int, ...]]:
+    """Every Lyndon word of length <= max_length whose consecutive pairs are
+    all allowed, in order of length and lexicographically within a length.
+    The wrap-around pair (w[-1], w[0]) is left to the caller.
+
+    An iterative depth-first walk of the prenecklace tree of Fredricksen,
+    Kessler and Maiorana (Ruskey, Savage & Wang 1992).  A node is a
+    prenecklace w of length t whose longest Lyndon prefix has length p; its
+    children append a letter b >= w[t - p], keeping p when b == w[t - p] and
+    setting p = t + 1 otherwise, and w is a Lyndon word iff p == t.  Every
+    prefix of a prenecklace is one, and every extension of a word with a
+    forbidden pair keeps it, so children are appended only along allowed
+    pairs: the walk visits just the admissible prenecklaces, whose number
+    follows the subshift's entropy rather than alphabet_size ** max_length.
+    Children come in increasing order, so nodes are visited in
+    lexicographic order and each per-length list fills up already sorted.
+    """
+    allowed, n = spec.allowed, spec.alphabet_size
+    # after[a][m]: the letters b >= m with (a, b) allowed, in increasing order
+    after = [None] + [
+        [()] + [tuple(b for b in range(m, n + 1) if row[b - 1]) for m in spec.letters] for row in allowed
+    ]
+    by_length: list[list[tuple[int, ...]]] = [[] for _ in range(max_length + 1)]
+    word: list[int] = []
+    # frames[t] = (letters still to try at position t, p of word[:t]); there
+    # are always len(word) + 1 frames, so the walk needs no recursion
+    frames = [(iter(spec.letters), 0)]
+    while frames:
+        letters, p = frames[-1]
+        b = next(letters, 0)
+        if not b:
+            frames.pop()
+            if word:
+                word.pop()
+            continue
+        t = len(word)
+        if not t or b != word[t - p]:
+            p = t + 1
+        word.append(b)
+        if p == t + 1:
+            by_length[t + 1].append(tuple(word))
+        if t + 1 < max_length:
+            frames.append((iter(after[b][word[t + 1 - p]]), p))
+        else:
+            word.pop()
+    return [w for words in by_length for w in words]
 
 
 def enumerate_periodic_points(spec: SubshiftSpec, max_period: int) -> list[PeriodicPoint]:
     """All primitive admissible cycles of length <= max_period, one canonical
     rotation each, sorted by (period, cycle).  The canonical rotation of a
-    primitive cycle is its Lyndon word, so the candidates are generated
-    directly and only cyclic admissibility is filtered."""
+    primitive cycle is its Lyndon word; :func:`_lyndon_words` generates the
+    admissible ones in this order along allowed pairs only, so just the
+    wrap-around pair is filtered here."""
     if max_period < 1:
         raise ValueError("max_period must be >= 1")
-    points = [
+    allowed = spec.allowed
+    return [
         PeriodicPoint(Word(w, 0), len(w))
-        for w in _lyndon_words(spec.alphabet_size, max_period)
-        if all(spec.allowed[a - 1][b - 1] for a, b in zip(w, w[1:] + w[:1]))
+        for w in _lyndon_words(spec, max_period)
+        if allowed[w[-1] - 1][w[0] - 1]
     ]
-    return sorted(points, key=lambda p: (p.period, p.cycle.letters))
 
 
 def metric(w: Word, w2: Word) -> MetricValue:

@@ -1,9 +1,11 @@
 """Subshift layer: spec validation, admissibility, periodic-point
-enumeration (checked against a brute-force necklace oracle), metric and
-shift."""
+enumeration (checked against a brute-force necklace oracle and against the
+unpruned Lyndon generator), metric and shift."""
 
+import functools
 import itertools
 import math
+import time
 
 import pytest
 
@@ -19,10 +21,28 @@ from sftlab import (
     shift,
     validate_spec,
 )
+from sftlab.sft import SubshiftSpec, _canonical_rotation, _is_lyndon, _is_primitive, _lyndon_words
 
 FULL = validate_spec(2, [])
 GOLDEN = validate_spec(2, [(2, 2)])
 THREE = validate_spec(3, [(2, 2), (3, 1)])
+TWO_CYCLE = validate_spec(2, [(1, 1), (2, 2)])
+# the sparse 4-letter shift of tests/test_lyapunov.py
+SPARSE4 = validate_spec(4, [(1, 1), (2, 2), (3, 3), (4, 4), (1, 3), (3, 1), (2, 4), (4, 2)])
+NO_11 = validate_spec(3, [(1, 1)])
+FOUR_TRIANGLE = validate_spec(4, [(1, 2), (2, 3), (3, 1)])
+# validate_spec asks for two letters; the 1-letter shift is one fixed point
+ONE_LETTER = SubshiftSpec(1, ((True,),))
+ORACLE_SHIFTS = {
+    "full": FULL,
+    "golden": GOLDEN,
+    "three": THREE,
+    "two_cycle": TWO_CYCLE,
+    "sparse4": SPARSE4,
+    "no_11": NO_11,
+    "four_triangle": FOUR_TRIANGLE,
+    "one_letter": ONE_LETTER,
+}
 
 
 def brute_force_cycles(spec, max_period):
@@ -40,6 +60,34 @@ def brute_force_cycles(spec, max_period):
             reps.add(min(rotations))
         out.extend(sorted(reps))
     return out
+
+
+def duval_lyndon_words(alphabet_size, max_length):
+    """Every Lyndon word over 1..alphabet_size of length <= max_length, in
+    lexicographic order (Duval 1983), over the whole alphabet: no pruning."""
+    w = [1]
+    while w:
+        yield tuple(w)
+        n = len(w)
+        while len(w) < max_length:
+            w.append(w[len(w) - n])
+        while w and w[-1] == alphabet_size:
+            w.pop()
+        if w:
+            w[-1] += 1
+
+
+@functools.cache
+def unpruned_cycles(spec, max_period):
+    """Reference enumeration: generate every Lyndon word over the alphabet,
+    keep the cyclically admissible ones, sort by (period, cycle)."""
+    forbidden = {(a, b) for a in spec.letters for b in spec.letters if not spec.allowed[a - 1][b - 1]}
+    kept = [
+        w
+        for w in duval_lyndon_words(spec.alphabet_size, max_period)
+        if forbidden.isdisjoint(zip(w, w[1:] + w[:1]))
+    ]
+    return sorted(kept, key=lambda w: (len(w), w))
 
 
 def test_validate_spec_full_shift():
@@ -104,6 +152,60 @@ def test_enumerate_matches_brute_force(spec, max_period):
     assert got == brute_force_cycles(spec, max_period)
 
 
+@pytest.mark.parametrize("spec", ORACLE_SHIFTS.values(), ids=ORACLE_SHIFTS.keys())
+def test_enumerate_matches_unpruned_generator(spec):
+    # the reference at period 12 is sorted by length, so its words of length
+    # <= max_period are the reference at max_period
+    reference = unpruned_cycles(spec, 12)
+    for max_period in range(8, 13):
+        got = [p.cycle.letters for p in enumerate_periodic_points(spec, max_period)]
+        assert got == [w for w in reference if len(w) <= max_period], f"max_period {max_period}"
+
+
+@pytest.mark.parametrize("name", ["golden", "three", "two_cycle", "sparse4", "no_11", "four_triangle"])
+def test_lyndon_walk_prunes_at_forbidden_pairs(name):
+    # the walk yields exactly the Lyndon words whose consecutive pairs are
+    # allowed; only the wrap-around pair is left to filter afterwards, so a
+    # walk that filtered whole cycles after generating them would drop the
+    # words whose only forbidden pair wraps around
+    spec = ORACLE_SHIFTS[name]
+    words = _lyndon_words(spec, 9)
+    assert all(spec.allowed[a - 1][b - 1] for w in words for a, b in zip(w, w[1:]))
+    expected = [
+        w
+        for w in duval_lyndon_words(spec.alphabet_size, 9)
+        if all(spec.allowed[a - 1][b - 1] for a, b in zip(w, w[1:]))
+    ]
+    assert words == sorted(expected, key=lambda w: (len(w), w))
+    assert any(not spec.allowed[w[-1] - 1][w[0] - 1] for w in words)
+
+
+def test_lyndon_walk_cost_follows_entropy():
+    # the 2-cycle has two admissible words of each length, so the pruned walk
+    # opens 27 nodes (1, 12, 121, ... and the dead end 2); an unpruned walk
+    # with the same output would visit the 2**26 / 26 Lyndon words over two
+    # letters and take seconds
+    start = time.perf_counter()
+    assert _lyndon_words(TWO_CYCLE, 26) == [(1,), (2,), (1, 2)]
+    assert time.perf_counter() - start < 0.5
+
+
+def test_enumerate_long_periods_without_recursion():
+    # on the 2-cycle the pruned walk is the chain 1, 12, 121, ... of
+    # max_period nodes plus the dead end 2
+    start = time.perf_counter()
+    points = enumerate_periodic_points(TWO_CYCLE, 5000)
+    elapsed = time.perf_counter() - start
+    assert [p.cycle.letters for p in points] == [(1, 2)]
+    assert elapsed < 1.0, f"{elapsed:.3f} s"
+
+
+def test_linear_lyndon_check_matches_definition():
+    for n in range(1, 9):
+        for w in itertools.product((1, 2, 3), repeat=n):
+            assert _is_lyndon(w) == (_is_primitive(w) and w == _canonical_rotation(w)), w
+
+
 def mobius(n):
     out = 1
     d = 2
@@ -159,12 +261,12 @@ def test_rotation_class_count():
 
 
 def test_periodic_point_rejects_non_primitive():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^cycle \(1, 2, 1, 2\) is a repetition of a shorter cycle$"):
         PeriodicPoint(Word((1, 2, 1, 2)), 4)
 
 
 def test_periodic_point_rejects_non_canonical():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^cycle \(2, 1\) is not in canonical rotation$"):
         PeriodicPoint(Word((2, 1)), 2)
     assert PeriodicPoint.from_letters((2, 1)).cycle.letters == (1, 2)
 
