@@ -101,6 +101,14 @@ def scaled_mul(m: ScaledMat2, n: ScaledMat2) -> ScaledMat2:
     return scaled_from(mat_mul(m.mat, n.mat), m.log_scale + n.log_scale)
 
 
+def _check_finite(k: float):
+    """Raise ValueError unless k is finite: sin and cos of +-inf are domain
+    errors, and a nan fails every comparison, so it would pass the
+    tolerance checks of :func:`check_energy` and :func:`canonical_cos`."""
+    if not math.isfinite(k):
+        raise ValueError(f"k = {k} is not a finite energy")
+
+
 @lru_cache(maxsize=4096)
 def canonical_cos(k: float) -> float:
     """cos k, canonicalized so that k and acos(cos k) give the same double.
@@ -115,7 +123,9 @@ def canonical_cos(k: float) -> float:
     near-diagonal random products is logarithmically sensitive to that
     residue (rate ~ 1/|log residue|), so a query within an ulp of the
     cancellation energy must be evaluated at the cancellation energy itself.
+    A non-finite k raises ValueError.
     """
+    _check_finite(k)
     x = math.cos(k)
     if abs(x) < 1e-12:
         return 0.0
@@ -130,7 +140,9 @@ def canonical_cos(k: float) -> float:
 
 def check_energy(k: float):
     """Raise SingularEnergy when sin k vanishes within _SIN_TOL: at integer
-    multiples of pi the edge solutions degenerate and the cocycle is undefined."""
+    multiples of pi the edge solutions degenerate and the cocycle is undefined.
+    A non-finite k raises ValueError."""
+    _check_finite(k)
     if abs(math.sin(k)) <= _SIN_TOL:
         raise SingularEnergy(f"k = {k} is an integer multiple of pi within {_SIN_TOL}")
 

@@ -13,10 +13,11 @@ reports
 The L-step products of the admissible (L+1)-letter words are tabulated per
 energy from the single-step matrices, with L the longest length that has at
 most 512 such words (8 steps on the full 2-shift, 11 on the golden mean).
-The sampler walks blocks of L * 2**m steps in chunks of exactly L letters,
-and each walk position (the letter before a chunk and the chunk's bucket
-code) is one word: one gather from a position-to-word table gives a slot per
-word, so a whole block is 2**m word slots.  Only a short last block has the
+The sampler walks blocks of L * 2**m steps in chunks of exactly L letters
+and hands out its position-word table, whose row per walk position holds
+the letter before a chunk and the chunk: one word.  Its rows are numbered
+once per call, so a whole block is 2**m word slots, one gather of ids away
+from its positions.  Only a short last block has the
 r leftover letters of a partial chunk, one slot per single step, and
 identity padding up to a power of two.  The slots are multiplied as a
 balanced tree (later half on the left, renormalized every third level); the
@@ -46,7 +47,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .cocycle import a_matrix
-from .measure import MarkovMeasure, _lane_walk, _thresholds
+from .measure import MarkovMeasure, _lane_walk, _walk_size
 from .sft import PeriodicPoint, enumerate_periodic_points
 from .spectra import monodromy_trace
 
@@ -64,20 +65,18 @@ def _word_steps(measure: MarkovMeasure) -> int:
     the full 2-shift, 11 on the golden mean, 3 on the full 4-shift, 1 on full
     shifts from 23 letters on).  Two caps bound L as well:
 
-    - the sampler's walk has l * nb**L positions (nb buckets per letter),
-      at most _WALK_POSITIONS_MAX = 2**16;
+    - the sampler's walk in chunks of L letters has l * nb**L positions
+      (:func:`sftlab.measure._walk_size`), at most _WALK_POSITIONS_MAX = 2**16;
     - a step's rows have absolute sums below 2*sqrt(l) + 1, and so do its
-      inverse's, so a word's entries stay below (2*sqrt(l) + 1)**L, and a
-      product of the 2**_RENORM_LEVELS words :func:`_tree_product`
+      inverse's, so a word's entries stay below (2*sqrt(l) + 1)**L, and the
+      product of the 2**_RENORM_LEVELS = 8 words :func:`_tree_product`
       multiplies before its first renormalization below
       (2*sqrt(l) + 1)**(8L), which must stay at most 2**_ENTRY_BITS_MAX =
       2**256, far inside double range (2e51 on the golden mean at L = 11).
 
     The second cap alone ends a near-deterministic shift, such as the
     2-cycle with nb = 1 and two words at every length (L = 16 there)."""
-    l = measure.spec.alphabet_size
-    nb = len(_thresholds(measure)[1]) + 1
-    entry_bits = 8 * math.log2(2 * math.sqrt(l) + 1)
+    entry_bits = 2**_RENORM_LEVELS * math.log2(2 * math.sqrt(measure.spec.alphabet_size) + 1)
     allowed = np.array(measure.spec.allowed, dtype=np.int64)
     ends = allowed.sum(axis=0)  # admissible 2-letter words by last letter
     length = 1
@@ -85,7 +84,7 @@ def _word_steps(measure: MarkovMeasure) -> int:
         ends = ends @ allowed  # (length + 2)-letter words, at most 512 * l
         if (
             ends.sum() > _WORD_TABLE_MAX
-            or l * nb ** (length + 1) > _WALK_POSITIONS_MAX
+            or _walk_size(measure, length + 1) > _WALK_POSITIONS_MAX
             or entry_bits * (length + 1) > _ENTRY_BITS_MAX
         ):
             return length
@@ -190,51 +189,44 @@ def _bit_reversal(size: int) -> np.ndarray:
     return rev
 
 
-def _word_slots(chunks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The (L+1)-letter words that the walk positions s*nb**L + code of the
-    sampler's chunk table (l, nb**L, L) stand for: the letter s before the
-    chunk, then its L letters.  Returns each position's word id, shape
-    (l*nb**L,), and the letters of the distinct words in id order, shape
-    (n_words, L+1).  The walk steps only along allowed pairs and reaches
-    every admissible word, so n_words is the count of :func:`_word_steps`."""
-    l, nbk, length = chunks.shape
-    letters = np.empty((l * nbk, length + 1), dtype=np.intp)
-    letters[:, 0] = np.arange(l).repeat(nbk)
-    letters[:, 1:] = chunks.reshape(-1, length)
-    ids, n = letters[:, 0], l
-    for m in range(1, length + 1):  # number the distinct (m+1)-letter prefixes in order
-        key = ids * l + letters[:, m]
+def _word_slots(pos_words: np.ndarray, l: int) -> tuple[np.ndarray, np.ndarray]:
+    """The (L+1)-letter words in the rows of the sampler's position-word
+    table (l*nb**L, L+1), over l letters.  Returns each row's word id and
+    the letters of the distinct words in id order, shape (n_words, L+1).
+    The walk steps only along allowed pairs and reaches every admissible
+    word, so n_words is the count of :func:`_word_steps`."""
+    ids, n = pos_words[:, 0], l
+    for m in range(1, pos_words.shape[1]):  # number the distinct (m+1)-letter prefixes in order
+        key = ids * l + pos_words[:, m]
         seen = np.zeros(n * l, dtype=bool)
         seen[key] = True
         ids, n = (np.cumsum(seen) - 1)[key], int(np.count_nonzero(seen))
-    words = np.empty((n, length + 1), dtype=np.intp)
-    words[ids] = letters  # every position of a word holds the same letters
+    words = np.empty((n, pos_words.shape[1]), dtype=np.intp)
+    words[ids] = pos_words  # every row of a word holds the same letters
     return ids, words
 
 
 def _block_slots(
-    pos: np.ndarray, b: int, chunks: np.ndarray, ids: np.ndarray, step0: int, pad: int
+    pos: np.ndarray, b: int, pos_words: np.ndarray, l: int, ids: np.ndarray, step0: int, pad: int
 ) -> np.ndarray:
     """Indices into the combined table of a sampler block of b letters, from
-    its walk positions pos (chunks, lanes) in chunks of L letters, shape
-    (P, lanes) with P the next power of two: the word id ids[pos] of every
-    whole chunk (the map of :func:`_word_slots`), then the leftover single
-    steps step0 + x*l + y of the r = b % L letters of a last partial chunk,
-    read off its row of chunks after the letter before it, pos // nb**L,
-    then identity padding (index pad).  A whole block of the walk is 2**m
-    whole chunks, so it fills P = 2**m slots with words alone; only a short
-    last block has leftover steps or padding.  Time t is stored at row
-    bitrev(t), so that the later half of every level of :func:`_tree_product`
-    is its upper half."""
-    l, nbk, length = chunks.shape
-    whole, r = divmod(b, length)
+    its walk positions pos (chunks, lanes), rows of the position-word table
+    pos_words (l*nb**L, L+1), shape (P, lanes) with P the next power of two:
+    the word id ids[pos] of every whole chunk (the map of
+    :func:`_word_slots`), then the leftover single steps step0 + x*l + y of
+    the r = b % L letters of a last partial chunk, read off its row as
+    pos_words[pos, :r+1], then identity padding (index pad).  A whole block
+    of the walk is 2**m whole chunks, so it fills P = 2**m slots with words
+    alone; only a short last block has leftover steps or padding.  Time t
+    is stored at row bitrev(t), so that the later half of every level of
+    :func:`_tree_product` is its upper half."""
+    whole, r = divmod(b, pos_words.shape[1] - 1)
     n = whole + r
     rev = _bit_reversal(1 << (n - 1).bit_length())
     slots = np.full((len(rev), pos.shape[1]), pad, dtype=np.intp)
     slots[rev[:whole]] = ids[pos[:whole]]
     if r:
-        tail = pos[whole]
-        full = np.concatenate(((tail // nbk)[:, None], chunks.reshape(-1, length)[tail, :r]), axis=1)
+        full = pos_words[pos[whole], : r + 1]
         slots[rev[whole:n]] = (step0 + full[:, :-1] * l + full[:, 1:]).T
     return slots
 
@@ -288,11 +280,11 @@ def _mc_rates(
 
     The sampler walks blocks of L * 2**m letters in chunks of
     L = _word_steps(measure) letters; :func:`_block_slots` turns its walk
-    positions into one slot per whole (L+1)-letter word (the letter before
-    the chunk and the chunk) and, in a short last block, one per leftover
-    single step and identity padding up to a power of two, gathered from one
-    combined table (admissible words | steps | identity) per energy; no
-    letters are built for whole chunks.
+    positions into one slot per whole (L+1)-letter word (a row of its
+    position-word table, numbered by :func:`_word_slots`) and, in a short
+    last block, one per leftover single step and identity padding up to a
+    power of two, gathered from one combined table (admissible words |
+    steps | identity) per energy; no letters are built for whole chunks.
     :func:`_tree_product` multiplies the slots as a balanced tree and
     :func:`_advance` applies the block's product to the running lane
     product.  Tables, running product (4, n_samples, n_k) and logs
@@ -303,8 +295,8 @@ def _mc_rates(
     block, so the chunks never change a bit of the result."""
     l = measure.spec.alphabet_size
     length = _word_steps(measure)
-    _, chunks, walk = _lane_walk(measure, [(int(seed), i) for i in range(n_samples)], n_steps + 1, length)
-    ids, words = _word_slots(chunks)
+    _, pos_words, walk = _lane_walk(measure, [(int(seed), i) for i in range(n_samples)], n_steps + 1, length)
+    ids, words = _word_slots(pos_words, l)
     steps = _step_table(measure, k_values)
     eye = np.zeros((4, 1, len(k_values)))
     eye[0] = eye[3] = 1.0
@@ -316,7 +308,7 @@ def _mc_rates(
     logs = np.zeros((n_samples, len(k_values)))
 
     for b, pos in walk:
-        slots = _block_slots(pos, b, chunks, ids, step0, pad)
+        slots = _block_slots(pos, b, pos_words, l, ids, step0, pad)
         for ks, lane_runs in _chunks(len(k_values), n_samples, 4 * len(slots)):
             sub = np.ascontiguousarray(table[:, :, ks])  # a copy only if the energies split
             for lanes in lane_runs:

@@ -23,13 +23,13 @@ power-of-two count of whole chunks within 1024 letters (the last block may
 be shorter), draws every lane's uniforms into a row, turns them into bucket
 codes, and walks the lanes with one table gather per k letters.  The block
 length never changes a letter: each lane reads one stream.  The walk yields
-positions ``s * nb**k + code``, s the letter before a chunk and code its k
-buckets: the block's letters are one gather of table rows away
-(:func:`_lane_blocks`), and the Monte-Carlo kernel reads its word slots off
-the positions directly, walking chunks of exactly its word length L.  Otherwise k is the longest
-chunk whose table has at most ``min(256, letters to walk)`` codes (k = 8 with
-one threshold, as on the uniform full shift and on the golden mean with
-weights 1/2).
+rows of a position-word table, each holding the letter before a chunk and
+then its k letters; how rows are numbered stays inside this module.  A
+block's letters are one gather of rows away (:func:`_block_letters`), and
+the Monte-Carlo kernel reads its word slots off the rows, walking chunks of
+exactly its word length L.  Otherwise k is the longest chunk whose table has
+at most ``min(256, letters to walk)`` codes (k = 8 with one threshold, as
+on the uniform full shift and on the golden mean with weights 1/2).
 """
 
 from __future__ import annotations
@@ -97,25 +97,15 @@ def stationary_markov(spec: SubshiftSpec, transition) -> MarkovMeasure:
     return MarkovMeasure(spec, p, pi)
 
 
-def _lane_blocks(measure: MarkovMeasure, seeds, n_letters: int) -> Iterator[np.ndarray]:
-    """The contract's 0-based letters, n_letters per lane (one per seed), as new
-    arrays: each lane's first letter alone, shape (lanes, 1), then the blocks
-    of :func:`_lane_walk`, shape (lanes, b), b <= _BLOCK, emitted by
-    :func:`_block_letters` from its positions."""
-    first, chunks, walk = _lane_walk(measure, seeds, n_letters)
-    yield first[:, None]
-    for b, pos in walk:
-        yield _block_letters(chunks, pos, b)
-
-
 def _lane_walk(
     measure: MarkovMeasure, seeds, n_letters: int, k: int | None = None
 ) -> tuple[np.ndarray, np.ndarray, Iterator[tuple[int, np.ndarray]]]:
     """The contract's walk over n_letters letters per lane (one per seed):
-    each lane's 0-based first letter, shape (lanes,); the table chunks of
-    :func:`_chunk_tables`, in chunks of k letters (by default its
-    length-capped k); and an iterator over the blocks after the first letter
-    that yields (b, pos), pos the positions of :func:`_walk_block`, shape
+    each lane's 0-based first letter, shape (lanes,); the position-word
+    table of :func:`_chunk_tables` for chunks of k letters (by default its
+    length-capped k), whose every row holds the letter before a chunk and
+    then the chunk; and an iterator over the blocks after the first letter
+    that yields (b, pos), pos the rows of :func:`_walk_block`, shape
     (ceil(b / k), lanes).  Every block but the last has b = k * 2**m letters,
     the largest power-of-two count of whole chunks within _BLOCK letters, so
     it is 2**m whole chunks; the last block may be shorter.  The letters do
@@ -123,18 +113,18 @@ def _lane_walk(
     gens = [np.random.Generator(np.random.PCG64(np.random.SeedSequence(s))) for s in seeds]
     stationary_cum = np.cumsum(measure.stationary)[:-1].tolist()
     first = np.array([bisect_right(stationary_cum, g.random()) for g in gens], dtype=np.intp)
-    theta, chunks, last = _chunk_tables(measure, n_letters - 1, k)
-    rows = chunks.reshape(-1, chunks.shape[2])
-    block = rows.shape[1] << ((_BLOCK // rows.shape[1]).bit_length() - 1)  # k * 2**m
+    theta, words, last = _chunk_tables(measure, n_letters - 1, k)
+    k = words.shape[1] - 1
+    block = k << ((_BLOCK // k).bit_length() - 1)  # k * 2**m
 
     def blocks(cur):
         for done in range(1, n_letters, block):
             b = min(block, n_letters - done)
-            pos = _walk_block(gens, theta, chunks, last, cur, b)
-            cur = rows[pos[-1], (b - 1) % rows.shape[1]]  # the block's last letter
+            pos = _walk_block(gens, theta, words, last, cur, b)
+            cur = words[pos[-1], (b - 1) % k + 1]  # the block's last letter
             yield b, pos
 
-    return first, chunks, blocks(first.copy())  # callers may change first
+    return first, words, blocks(first.copy())  # callers may change first
 
 
 def _thresholds(measure: MarkovMeasure) -> tuple[list[list[float]], list[float]]:
@@ -144,13 +134,19 @@ def _thresholds(measure: MarkovMeasure) -> tuple[list[list[float]], list[float]]
     return interior_rows, sorted({x for row in interior_rows for x in row if 0.0 < x < 1.0})
 
 
+def _walk_size(measure: MarkovMeasure, k: int) -> int:
+    """Rows of the position-word table of chunks of k letters, l * nb**k."""
+    return measure.spec.alphabet_size * (len(_thresholds(measure)[1]) + 1) ** k
+
+
 def _chunk_tables(
     measure: MarkovMeasure, n_walk: int, k: int | None = None
 ) -> tuple[list[float], np.ndarray, np.ndarray]:
-    """The thresholds Theta, sorted; chunks[s, code, i], the letter i+1 steps
-    after letter s when the k uniforms of a chunk fall in the buckets of code
-    (base nb = len(Theta) + 1, first step most significant); and
-    last[s*nb**k + code] = chunks[s, code, -1] * nb**k.  k is the given chunk
+    """The thresholds Theta, sorted; the position-word table words, shape
+    (l * nb**k, k+1), whose row p = s*nb**k + code holds the letter s and
+    then the k letters that follow it when the k uniforms of a chunk fall in
+    the buckets of code (base nb = len(Theta) + 1, first step most
+    significant); and last[p] = words[p, -1] * nb**k.  k is the given chunk
     length, or by default the longest chunk with
     nb**k <= min(_CHUNK_TABLE_MAX, n_walk), at least 1, so a short walk
     builds a small table.
@@ -168,29 +164,30 @@ def _chunk_tables(
         while k < cap and nb ** (k + 1) <= cap:
             k += 1
     l = len(step)
-    chunks = np.empty((l, nb**k, k), dtype=np.intp)
+    words = np.empty((l, nb**k, k + 1), dtype=np.intp)
     state = np.arange(l)[:, None]
-    for i in range(k):  # step i is the least significant digit of the codes so far
+    words[:, :, 0] = state
+    for i in range(1, k + 1):  # step i is the least significant digit of the codes so far
         state = step[state[:, :, None], np.arange(nb)].reshape(l, -1)
-        chunks.reshape(l, nb ** (i + 1), -1, k)[:, :, :, i] = state[:, :, None]
-    return theta, chunks, (state * nb**k).ravel()
+        words.reshape(l, nb**i, -1, k + 1)[:, :, :, i] = state[:, :, None]
+    return theta, words.reshape(-1, k + 1), (state * nb**k).ravel()
 
 
 def _walk_block(
-    gens, theta: list[float], chunks: np.ndarray, last: np.ndarray, cur: np.ndarray, b: int
+    gens, theta: list[float], words: np.ndarray, last: np.ndarray, cur: np.ndarray, b: int
 ) -> np.ndarray:
     """The walk over the b letters after the letters cur in every lane, as
-    the position s*nb**k + code of every chunk of k letters in the rows of
-    chunks, s the letter before the chunk and code its k bucket digits, shape
-    (chunks, lanes); a last partial chunk is padded with bucket 0, and only
-    its first b % k letters belong to the block.
+    the row of every chunk of k letters in the position-word table words,
+    shape (chunks, lanes); a last partial chunk is padded with bucket 0, and
+    only its first b % k letters belong to the block.
 
     Each lane's b uniforms are drawn into a row, padded with zeros (bucket 0)
     to whole chunks of k, and become one bucket code per chunk, kept as
     (chunks, lanes).  The walk takes one gather in last per chunk, where
-    index s*nb**k + code holds the chunk's end letter times nb**k, so there is
+    row s*nb**k + code holds the chunk's end letter times nb**k, so there is
     no loop per letter (one lane walks the same table on Python ints)."""
-    _, nbk, k = chunks.shape
+    k = words.shape[1] - 1
+    nbk = (len(theta) + 1) ** k
     lanes = len(gens)
     u = np.empty((lanes, -(-b // k) * k))
     u[:, b:] = 0.0
@@ -217,10 +214,10 @@ def _walk_block(
     return pos
 
 
-def _block_letters(chunks: np.ndarray, pos: np.ndarray, b: int) -> np.ndarray:
-    """The b letters of a block walked to the positions pos, shape (lanes, b):
-    one gather of chunk rows."""
-    return np.take(chunks.reshape(-1, chunks.shape[2]), pos.T, axis=0).reshape(pos.shape[1], -1)[:, :b]
+def _block_letters(words: np.ndarray, pos: np.ndarray, b: int) -> np.ndarray:
+    """The b letters of a block walked to the rows pos of the position-word
+    table words, shape (lanes, b): one gather of the chunks' letters."""
+    return np.take(words[:, 1:], pos.T, axis=0).reshape(pos.shape[1], -1)[:, :b]
 
 
 def _buckets(u: np.ndarray, theta: list[float], dtype) -> np.ndarray:
@@ -240,8 +237,8 @@ def sample_window(measure: MarkovMeasure, first_index: int, last_index: int, see
     """
     if first_index > last_index:
         raise ValueError("first_index must be <= last_index")
-    blocks = _lane_blocks(measure, [seed], last_index - first_index + 1)
-    letters = np.concatenate([block[0] for block in blocks])
+    first, words, walk = _lane_walk(measure, [seed], last_index - first_index + 1)
+    letters = np.concatenate([first, *(_block_letters(words, pos, b)[0] for b, pos in walk)])
     return Word(tuple((letters + 1).tolist()), first_index)
 
 

@@ -149,6 +149,18 @@ def test_verify_graph_negative_seed(tmp_path, capsys):
     assert "--seed: need seed >= 0" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("k", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("subcommand", ["kalinin", "verify-graph"])
+def test_non_finite_k_exits_2(tmp_path, capsys, subcommand, k):
+    # a clean error naming k and no table ("--k=-inf", since argparse reads
+    # "-inf" as an option)
+    path = write_config(tmp_path, GOLDEN_CONFIG)
+    assert main([subcommand, "--config", path, f"--k={k}"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: k = {float(k)} is not a finite energy\n"
+
+
 def test_unknown_subcommand(tmp_path):
     config = load_config(write_config(tmp_path, FULL_CONFIG))
     with pytest.raises(UnknownSubcommand):

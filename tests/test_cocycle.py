@@ -22,9 +22,11 @@ from sftlab import (
     canonical_cos,
     cocycle_product,
     eigendirections,
+    lyapunov_mc,
     mat_inv,
     mat_mul,
     mobius,
+    monodromy_trace,
     projective,
     sample_window,
     scaled_mul,
@@ -35,6 +37,7 @@ from sftlab import (
     unstable_holonomy,
     validate_spec,
 )
+from sftlab.cocycle import check_energy
 
 GOLDEN = validate_spec(2, [(2, 2)])
 GOLDEN_MEASURE = stationary_markov(GOLDEN, [[0.5, 0.5], [1.0, 0.0]])
@@ -112,6 +115,24 @@ def test_canonical_cos_snaps_to_cancellation_energy():
     assert canonical_cos(math.pi / 2) == 0.0
     assert canonical_cos(math.pi / 2 + 1e-13) == 0.0
     assert canonical_cos(math.pi / 2 + 1e-10) != 0.0
+
+
+@pytest.mark.parametrize("k", [math.inf, -math.inf, math.nan])
+def test_non_finite_energy_is_rejected(k):
+    # a nan fails every tolerance comparison and would pass as cos k = 1,
+    # and sin(inf) is a math domain error: each entry point names k instead
+    word = Word((1, 2, 1), -1)
+    calls = [
+        lambda: check_energy(k),
+        lambda: canonical_cos(k),
+        lambda: a_matrix(k, 1, 2),
+        lambda: solve_difference(k, word, 1.0, 0.0),
+        lambda: monodromy_trace(PeriodicPoint.from_letters((1, 2)), k),
+        lambda: lyapunov_mc(GOLDEN_MEASURE, k, 1000, 2, 0),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match=f"k = {k} is not a finite energy"):
+            call()
 
 
 # ---------------------------------------------------------- cocycle_product

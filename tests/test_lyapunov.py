@@ -28,7 +28,7 @@ from sftlab import (
 )
 import sftlab.lyapunov as lyapunov_module
 from sftlab.lyapunov import _block_slots, _mc_rates, _word_slots, _word_steps
-from sftlab.measure import _BLOCK, _lane_walk, _thresholds
+from sftlab.measure import _BLOCK, _lane_walk, _thresholds, _walk_size
 
 FULL = validate_spec(2, [])
 GOLDEN = validate_spec(2, [(2, 2)])
@@ -204,15 +204,15 @@ def test_block_slots_match_sample_window(name):
             for i in range(n_samples)
         ]
         seeds = [(seed, i) for i in range(n_samples)]
-        first, chunks, walk = _lane_walk(measure, seeds, n_steps + 1, length)
-        assert chunks.shape[2] == length
+        first, pos_words, walk = _lane_walk(measure, seeds, n_steps + 1, length)
+        assert pos_words.shape[1] == length + 1
         assert first.tolist() == [w[0] for w in windows]
-        ids, words = _word_slots(chunks)
+        ids, words = _word_slots(pos_words, l)
         step0 = len(words)
         pad = step0 + l * l
         sizes, t0 = [], 0
         for b, pos in walk:
-            slots = _block_slots(pos, b, chunks, ids, step0, pad)
+            slots = _block_slots(pos, b, pos_words, l, ids, step0, pad)
             bits = len(slots).bit_length() - 1
             rows = [int(format(t, f"0{bits}b")[::-1], 2) for t in range(len(slots))]
             whole = b - b % length
@@ -250,7 +250,7 @@ def test_word_steps_follow_admissible_words():
     for name, (measure, length, block) in KERNEL_SHAPES.items():
         l = measure.spec.alphabet_size
         nb = len(_thresholds(measure)[1]) + 1
-        assert l * nb**length <= 1 << 16, name
+        assert _walk_size(measure, length) == l * nb**length <= 1 << 16, name
         assert (2 * math.sqrt(l) + 1) ** (8 * length) <= 2.0**256, name
         words_per_block = block // length
         assert block % length == 0 and words_per_block & (words_per_block - 1) == 0, name
@@ -291,6 +291,82 @@ def test_mc_rates_match_per_step_product():
                 for a, k in enumerate(ks):
                     oracle = growth_rate(cocycle_product(k, word), n_steps)
                     assert rates[a, i] == pytest.approx(oracle, rel=0, abs=1e-12)
+
+
+def _path_walk(path, length):
+    """A stand-in for measure._lane_walk that walks one lane along the given
+    1-based letters in chunks of length letters.  Row c of its
+    position-word table is chunk c's word (the letter before the chunk,
+    then its letters, the last row padded by repeating the last letter), so
+    its positions are the chunk indices, yielded in blocks of
+    length * 2**m letters as the sampler's are."""
+    x = np.array(path) - 1
+    block = length << ((_BLOCK // length).bit_length() - 1)
+    n_chunks = -(-(len(x) - 1) // length)
+    padded = np.concatenate((x, np.full(n_chunks * length + 1 - len(x), x[-1])))
+    pos_words = np.array([padded[c * length : (c + 1) * length + 1] for c in range(n_chunks)])
+
+    def blocks():
+        for done in range(1, len(x), block):
+            b = min(block, len(x) - done)
+            c0 = (done - 1) // length
+            yield b, np.arange(c0, c0 - (-b // length))[:, None]
+
+    def lane_walk(measure, seeds, n_letters, k):
+        assert (len(seeds), n_letters, k) == (1, len(x), length)
+        return x[:1], pos_words, blocks()
+
+    return lane_walk
+
+
+def _half_pi_rate(path):
+    """The exact rate at c = 0 on the 1-based letters path.  A step
+    A = sqrt(cur/prev) [[0, -prev/cur], [1, 0]] moves a column's one
+    nonzero entry from row 0 to row 1 times sqrt(cur/prev), or from row 1
+    to row 0 times sqrt(prev/cur) up to sign, so the product stays diagonal
+    or antidiagonal and its spectral norm is its larger entry, kept here as
+    each column's log."""
+    logs, rows = [0.0, 0.0], [0, 1]  # the columns M e1 and M e2
+    for prev, cur in zip(path, path[1:]):
+        for i in (0, 1):
+            logs[i] += (0.5 if rows[i] == 0 else -0.5) * math.log(cur / prev)
+            rows[i] ^= 1
+    return max(logs) / (len(path) - 1)
+
+
+# a full-shift path whose first 2000 steps at pi/2 grow one direction by
+# 2**1000, beyond double range, and whose next 4000 shrink it again
+CHOSEN_PATH = [1, 2] * 1000 + [2] + [1, 2] * 2000
+
+
+def test_mc_kernel_on_chosen_paths(monkeypatch):
+    # the kernel walks a hand-built position-word table as it walks the
+    # sampler's: at k = 1.0 it matches the scalar product on the chosen path,
+    # also cut to end in a partial chunk, and at pi/2 on the alternating
+    # path, whose exact rate is ln(2)/2, it matches the c = 0 recursion
+    length = _word_steps(FULL_UNIFORM)
+    for path in (CHOSEN_PATH, CHOSEN_PATH[:-3]):
+        monkeypatch.setattr(lyapunov_module, "_lane_walk", _path_walk(path, length))
+        rate = _mc_rates(FULL_UNIFORM, [1.0], len(path) - 1, 1, 0)[0, 0]
+        oracle = growth_rate(cocycle_product(1.0, Word(tuple(path), -1)), len(path) - 1)
+        assert rate == pytest.approx(oracle, rel=0, abs=1e-12)
+    alternating = [1, 2] * 1000 + [1]
+    assert _half_pi_rate(alternating) == pytest.approx(LN2_OVER_2, rel=0, abs=1e-13)
+    monkeypatch.setattr(lyapunov_module, "_lane_walk", _path_walk(alternating, length))
+    rate = _mc_rates(FULL_UNIFORM, [math.pi / 2], len(alternating) - 1, 1, 0)[0, 0]
+    assert rate == pytest.approx(_half_pi_rate(alternating), rel=0, abs=1e-12)
+    assert _half_pi_rate(CHOSEN_PATH) == pytest.approx(0.1155822923583652, rel=0, abs=1e-13)
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 2: the MC product loses its small direction at pi/2")
+def test_mc_kernel_keeps_the_small_direction_at_half_pi(monkeypatch):
+    # renormalized by its max entry, the running product has lost the small
+    # direction after the first 2000 steps, so the kernel reads -0.11558
+    # where the exact rate is +0.11558 (the scalar cocycle_product, which
+    # renormalizes the same way, reads -0.11558 too)
+    monkeypatch.setattr(lyapunov_module, "_lane_walk", _path_walk(CHOSEN_PATH, _word_steps(FULL_UNIFORM)))
+    rate = _mc_rates(FULL_UNIFORM, [math.pi / 2], len(CHOSEN_PATH) - 1, 1, 0)[0, 0]
+    assert rate == pytest.approx(_half_pi_rate(CHOSEN_PATH), rel=0, abs=1e-12)
 
 
 def _record_gathered(monkeypatch, record):

@@ -16,7 +16,7 @@ from sftlab import (
     stationary_markov,
     validate_spec,
 )
-from sftlab.measure import _BLOCK, _block_letters, _buckets, _chunk_tables, _lane_blocks, _lane_walk
+from sftlab.measure import _BLOCK, _block_letters, _buckets, _chunk_tables, _lane_walk
 
 FULL = validate_spec(2, [])
 GOLDEN = validate_spec(2, [(2, 2)])
@@ -177,43 +177,51 @@ def test_sample_window_matches_contract_reference(make):
 def test_chunk_tables_step_at_thresholds(make):
     # sampling never draws u exactly at a threshold or at 0.0, so check the
     # bucket of those u, and the step its table row takes, against the
-    # contract's inverse CDF directly; then every chunk table against steps
+    # contract's inverse CDF directly; then every position-word table
+    # against steps: row s*nb**k + code holds s and the k letters after it
     mu = make()
     cum_rows = np.cumsum(mu.transition, axis=1)
     theta, steps, last = _chunk_tables(mu, 1)
-    assert steps.shape[2] == 1
+    l = len(cum_rows)
+    assert steps.shape[1] == 2
     assert theta == sorted({float(c) for c in cum_rows[:, :-1].ravel() if 0.0 < c < 1.0})
-    assert len(theta) + 1 == steps.shape[1]
+    nb = len(theta) + 1
+    assert steps.shape[0] == l * nb
     probes = [0.0, *theta, *np.nextafter(theta, 0.0), *np.nextafter(theta, 1.0)]
     buckets = _buckets(np.array(probes), theta, np.intp)
     for x, q in zip(probes, buckets):
-        for s in range(len(cum_rows)):
-            assert steps[s, q, 0] == np.sum(cum_rows[s, :-1] <= x), (x, s)
-    nb = len(theta) + 1
+        for s in range(l):
+            assert steps[s * nb + q, 0] == s
+            assert steps[s * nb + q, 1] == np.sum(cum_rows[s, :-1] <= x), (x, s)
     explicit = [(1, k) for k in (1, 3, 9) if nb**k <= 4096]  # the given k, whatever n_walk allows
     for n_walk, k_given in [(2, None), (50, None), (5000, None), *explicit]:
-        theta, chunks, last = _chunk_tables(mu, n_walk, k_given)
-        l, nbk, k = chunks.shape
+        theta, words, last = _chunk_tables(mu, n_walk, k_given)
+        k = words.shape[1] - 1
+        nbk = nb**k
+        assert words.shape == (l * nbk, k + 1)
         cap = min(256, n_walk)
         if k_given is None:
-            assert nb**k <= max(nb, cap) and (nb ** (k + 1) > cap or k == cap)
+            assert nbk <= max(nb, cap) and (nb ** (k + 1) > cap or k == cap)
         else:
-            assert k == k_given and nbk == nb**k
+            assert k == k_given
         for s in range(l):
             for code in range(nbk):
+                row = words[s * nbk + code]
+                assert row[0] == s
                 cur = s
                 for i in range(k):
-                    cur = steps[cur, code // nb ** (k - 1 - i) % nb, 0]
-                    assert chunks[s, code, i] == cur
+                    cur = steps[cur * nb + code // nb ** (k - 1 - i) % nb, 1]
+                    assert row[i + 1] == cur
                 assert last[s * nbk + code] == cur * nbk
 
 
 @pytest.mark.parametrize("make", [golden_half, three_markov])
-def test_lane_blocks_lanes_match_one_lane_windows(make):
+def test_lane_walk_lanes_match_one_lane_windows(make):
     mu = make()
     seeds = [(5, i) for i in range(37)]
     n_letters = 2 * _BLOCK + 37
-    lanes = np.concatenate(list(_lane_blocks(mu, seeds, n_letters)), axis=1)
+    first, words, walk = _lane_walk(mu, seeds, n_letters)
+    lanes = np.concatenate([first[:, None], *(_block_letters(words, pos, b) for b, pos in walk)], axis=1)
     assert lanes.shape == (37, n_letters)
     for seed, row in zip(seeds, lanes):
         assert tuple((row + 1).tolist()) == sample_window(mu, 0, n_letters - 1, seed).letters
@@ -224,8 +232,8 @@ def test_lane_walk_any_chunk_length_matches_contract(make):
     # the Monte-Carlo kernel walks chunks of its word length, not the
     # sampler's default k: any chunk length walks the contract's letters in
     # blocks of k * 2**m letters (2**m whole chunks, the most within _BLOCK)
-    # and a short last block, and every position holds the letter before
-    # its chunk
+    # and a short last block, and every position's row holds the letter
+    # before its chunk
     mu = make()
     seeds = [(9, i) for i in range(5)]
     n_letters = 2 * _BLOCK + 2
@@ -234,20 +242,20 @@ def test_lane_walk_any_chunk_length_matches_contract(make):
     for k, block in ((1, 1024), (2, 1024), (3, 768), (4, 1024), (8, 1024)):
         if nb**k > 8192:
             continue
-        first, chunks, walk = _lane_walk(mu, seeds, n_letters, k)
-        assert chunks.shape[2] == k
+        first, words, walk = _lane_walk(mu, seeds, n_letters, k)
+        assert words.shape[1] == k + 1
         letters, sizes, t0 = [first[:, None]], [], 1
         for b, pos in walk:
             assert pos.shape == (-(-b // k), len(seeds))
-            assert np.array_equal(pos // chunks.shape[1], expected[:, t0 - 1 : t0 - 1 + b : k].T)
-            letters.append(_block_letters(chunks, pos, b))
+            assert np.array_equal(words[pos, 0], expected[:, t0 - 1 : t0 - 1 + b : k].T)
+            letters.append(_block_letters(words, pos, b))
             sizes.append(b)
             t0 += b
         assert sizes == [block, block, n_letters - 1 - 2 * block]
         assert np.array_equal(np.concatenate(letters, axis=1), expected)
 
 
-def test_lane_blocks_memory_per_lane():
+def test_lane_walk_memory_per_lane():
     # peak traced memory over two blocks at 1000 lanes, with the caller
     # holding the previous block: a block's uniforms (8 kB per lane), its
     # buckets and codes, its letters and the previous block's, about 21 kB
@@ -255,8 +263,9 @@ def test_lane_blocks_memory_per_lane():
     lanes = 1000
     tracemalloc.start()
     try:
-        for block in _lane_blocks(mu, [(3, i) for i in range(lanes)], 1 + 2 * _BLOCK):
-            pass
+        first, words, walk = _lane_walk(mu, [(3, i) for i in range(lanes)], 1 + 2 * _BLOCK)
+        for b, pos in walk:
+            block = _block_letters(words, pos, b)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
