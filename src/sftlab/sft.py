@@ -106,6 +106,20 @@ class PeriodicPoint:
                 raise ValueError(f"cycle {letters} is not in canonical rotation")
 
     @classmethod
+    def _certified(cls, letters: tuple[int, ...]) -> "PeriodicPoint":
+        """The point of a tuple of built-in ints already known to be a Lyndon
+        word, as :func:`_lyndon_words` yields them: equal and hash-equal to
+        ``PeriodicPoint(Word(letters, 0), len(letters))``, but built without
+        the int normalization, the base-index check or :func:`_is_lyndon`."""
+        cycle = object.__new__(Word)
+        object.__setattr__(cycle, "letters", letters)
+        object.__setattr__(cycle, "base_index", 0)
+        point = object.__new__(cls)
+        object.__setattr__(point, "cycle", cycle)
+        object.__setattr__(point, "period", len(letters))
+        return point
+
+    @classmethod
     def from_letters(cls, letters: Sequence[int]) -> "PeriodicPoint":
         letters = tuple(map(int, letters))
         return cls(Word(_canonical_rotation(letters), 0), len(letters))
@@ -265,12 +279,14 @@ def enumerate_periodic_points(spec: SubshiftSpec, max_period: int) -> list[Perio
     rotation each, sorted by (period, cycle).  The canonical rotation of a
     primitive cycle is its Lyndon word; :func:`_lyndon_words` generates the
     admissible ones in this order along allowed pairs only, so just the
-    wrap-around pair is filtered here."""
+    wrap-around pair is filtered here.  The walk has proved each word
+    Lyndon, so its point is built without re-checking
+    (:meth:`PeriodicPoint._certified`)."""
     if max_period < 1:
         raise ValueError("max_period must be >= 1")
     allowed = spec.allowed
     return [
-        PeriodicPoint(Word(w, 0), len(w))
+        PeriodicPoint._certified(w)
         for w in _lyndon_words(spec, max_period)
         if allowed[w[-1] - 1][w[0] - 1]
     ]

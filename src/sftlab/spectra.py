@@ -1,12 +1,13 @@
 """Monodromy traces of periodic points, band/gap structure on [0, pi] in the
-k variable, interval intersections, and the finite-period outer approximation
-of the zero-exponent candidate set.
+k variable, interval intersections, and the finite-period candidate set:
+the intersection of the periodic bands, which approximates the zero-exponent
+set away from c = cos k = 0 (see :func:`exceptional_candidates`).
 
 Band edges come from the integer trace polynomial, not from a grid: the
 trace of a period-n point is P(c) / W with P of degree n in c = cos k and W
 the product of the letters.  Its gcd with its derivative, a Sturm sequence
-and dyadic bisection are all evaluated in Python integers, so touching bands
-(closed gaps) are found exactly and no band can be missed.
+in y = c**2 and dyadic bisection are all evaluated in Python integers, so
+touching bands (closed gaps) are found exactly and no band can be missed.
 """
 
 from __future__ import annotations
@@ -151,18 +152,20 @@ def _acos(m: int, e: int) -> float:
     return 2.0 * math.asin(math.sqrt(((1 << e) - m) / (1 << (e + 1))))
 
 
-def _refine(h: list[int], lo: int, hi: int, e: int, tol: float) -> float:
-    """k = acos(c) of the one root c of h in (lo / 2**e, hi / 2**e], to
-    within tol, by bisection on dyadic rationals.  The loop ends at the
-    latest when both ends of the bracket round to the same k."""
-    s = _value(h, hi, e)
+def _refine(g: list[int], lo: int, hi: int, e: int, tol: float) -> float:
+    """k = acos(c) of the one c in (lo / 2**e, hi / 2**e] with g(c**2) = 0,
+    to within tol, by bisection on dyadic rationals c >= 0.  Each sign is
+    that of _value(g, mid**2, 2 * e), the same integer as _value(h, mid, e)
+    for the even h(c) = g(c**2).  The loop ends at the latest when both ends
+    of the bracket round to the same k."""
+    s = _value(g, hi * hi, 2 * e)
     if s == 0:
         return _acos(hi, e)
     k_lo, k_hi = _acos(lo, e), _acos(hi, e)
     while k_lo - k_hi > tol:
         lo, hi, e = 2 * lo, 2 * hi, e + 1
         mid = lo + 1
-        v = _value(h, mid, e)
+        v = _value(g, mid * mid, 2 * e)
         if v == 0:
             return _acos(mid, e)
         if (v > 0) == (s > 0):
@@ -172,11 +175,15 @@ def _refine(h: list[int], lo: int, hi: int, e: int, tol: float) -> float:
     return 0.5 * (k_lo + k_hi)
 
 
-def _edges_above_zero(h: list[int], tol: float) -> list[float]:
-    """acos of every root of the square-free h in (0, 1], ascending in k:
-    the roots are isolated with a Sturm sequence on dyadic intervals
-    (lo / 2**e, hi / 2**e] and then refined one by one."""
-    chain = [h, _derivative(h)]
+def _edges_above_zero(g: list[int], tol: float) -> list[float]:
+    """acos of every c in (0, 1] with g(c**2) = 0, ascending in k, for a
+    square-free g with g(0) != 0.  The roots are isolated on dyadic
+    intervals (lo / 2**e, hi / 2**e] in c, as for h(c) = g(c**2) itself,
+    but each interval's roots are counted with a Sturm sequence of g on
+    (lo**2 / 4**e, hi**2 / 4**e]: at most n + 1 polynomials of degree
+    <= n = deg g instead of 2n + 1 of degree <= 2n.  Then they are refined
+    one by one."""
+    chain = [g, _derivative(g)]
     while len(chain[-1]) > 1:
         chain.append([-x for x in _primitive(_prem(chain[-2], chain[-1]))])
     out = []
@@ -184,10 +191,10 @@ def _edges_above_zero(h: list[int], tol: float) -> list[float]:
     while stack:
         lo, hi, e, v_lo, v_hi = stack.pop()
         if v_lo - v_hi == 1:
-            out.append(_refine(h, lo, hi, e, tol))
+            out.append(_refine(g, lo, hi, e, tol))
         elif v_lo - v_hi > 1:
             lo, hi, e = 2 * lo, 2 * hi, e + 1
-            v_mid = _variations(chain, lo + 1, e)
+            v_mid = _variations(chain, (lo + 1) ** 2, 2 * e)
             stack.append((lo, lo + 1, e, v_lo, v_mid))
             stack.append((lo + 1, hi, e, v_mid, v_hi))
     return sorted(out)
@@ -205,9 +212,13 @@ def band_set(p: PeriodicPoint, grid_points: int = 2001, tol: float = 1e-10) -> B
     D = diag(1, -1), so P(-c) = (-1)**n P(c).  The double roots of F, the
     roots of gcd(F, F'), are touching bands (closed gaps) and stay inside
     one interval; the band edges are the roots of H = F / gcd(F, F')**2,
-    where F changes sign.  They are isolated in (0, 1] and mirrored to
-    k -> pi - k.  Everything up to the final acos is integer arithmetic, so
-    bands merge wherever they touch (pi/2, pi/4, ...) and none is missed.
+    where F changes sign.  H is even too, H(c) = G(c**2) with G = H[::2] of
+    degree <= n, so the edges in (0, 1] are isolated and refined through G in
+    y = c**2 (:func:`_edges_above_zero`) and mirrored to k -> pi - k.  The
+    gcd stays in c: F(0) = 0 where bands touch at pi/2, and that double
+    root of F in c would be a simple root of F(sqrt(y)) at y = 0.
+    Everything up to the final acos is integer arithmetic, so bands merge
+    wherever they touch (pi/2, pi/4, ...) and none is missed.
 
     ``grid_points`` is validated (>= 64) but otherwise ignored: no grid is
     used.
@@ -230,7 +241,7 @@ def band_set(p: PeriodicPoint, grid_points: int = 2001, tol: float = 1e-10) -> B
     # flips at each root, so its sign between the largest root in (0, 1]
     # and c = 1, where the sweep from k = 0 starts, follows from H(0) and
     # the root count.
-    ks = _edges_above_zero(h, tol)
+    ks = _edges_above_zero(h[::2], tol)
     inside = (h[0] < 0) == (len(ks) % 2 == 0)
     intervals = []
     lo = 0.0 if inside else None
@@ -293,7 +304,17 @@ def h_tilde_bands(p: PeriodicPoint, tol: float = 1e-10) -> list[tuple[float, flo
 
 def exceptional_candidates(spec: SubshiftSpec, max_period: int, tol: float = 1e-10) -> BandSet:
     """Intersection of the band sets of every primitive periodic point with
-    period <= max_period: an outer approximation, monotone non-increasing in
-    max_period, of the set of energies where the exponent can vanish."""
+    period <= max_period, monotone non-increasing in max_period.
+
+    It approximates the energies where the exponent can vanish away from
+    c = cos k = 0, and it is no outer approximation at c = 0: every step
+    matrix is antidiagonal there, so the cocycle keeps the pair of
+    coordinate axes and even loops can be hyperbolic.  Where the point
+    (1,2) is admissible its trace at k = pi/2 is -2.5, so pi/2 lies in no
+    candidate set of period >= 2, yet the exponent vanishes there
+    (acceptance criterion 6 on the full shift).  An invariant pair of lines
+    is not the invariant conformal structure that "zero exponent implies
+    inside every band" needs (Avila & Viana 2010, "Extremal Lyapunov
+    exponents: an invariance principle and applications")."""
     points = enumerate_periodic_points(spec, max_period)
     return intersect([band_set(p, tol=tol) for p in points])

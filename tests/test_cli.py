@@ -2,6 +2,7 @@
 codes."""
 
 import csv
+import hashlib
 import io
 import json
 import math
@@ -31,6 +32,25 @@ FULL_CONFIG = {
     "bands": {"grid_points": 301, "tol": 1e-10, "max_period": 2},
     "epsilon": 0.01,
     "exclusion_halfwidth": 0.02,
+}
+
+
+# the shifts and periods of the benchmark's spectra_scan ops; the SHA-256 of
+# each CSV on stdout was recorded with the band edges isolated in c itself
+# and every periodic point built through the checked public constructor
+SPECTRA_SHIFTS = {
+    "full": (2, [], [[0.5, 0.5], [0.5, 0.5]]),
+    "golden": (2, [[2, 2]], [[0.5, 0.5], [1.0, 0.0]]),
+    "three": (3, [[2, 2], [3, 1]], [[1 / 3, 1 / 3, 1 / 3], [0.5, 0.0, 0.5], [0.0, 0.5, 0.5]]),
+}
+SPECTRA_CSV_SHA256 = {
+    ("periodic", "full", 14): "7042968b713fa53ba7e8670cb898d8d3e4ff1c3af4420041ff314f25a00170f8",
+    ("periodic", "golden", 16): "e3b447f0e2bea37ed3a8b7ac2ef29916a554170eb429e74f73eaedf4c3668902",
+    ("periodic", "three", 10): "1daeb0f8c6eb57a7fa4e222d821727cc307ffbe47064fd91ce10dd2b3cb31deb",
+    ("bands", "full", 6): "78c06f7a737c97c173fe1064e69200c2465ab44c36454106eac0de3e2553c8f5",
+    ("bands", "golden", 8): "b5012bdc397186645a71519e9bfa9255cb5f5d55ae47fc4c2f96b09d9a54e734",
+    ("bands", "three", 5): "3a41f51e8c64e120212abed8b49d5208e4a454dcd48456c17b83cbb933f7158e",
+    ("candidates", "golden", 8): "3a74b250dbd7a3e001d052a4dedbbaabea17b474862c387ffb499749deff4624",
 }
 
 
@@ -196,6 +216,24 @@ def test_main_writes_csv_and_is_deterministic(tmp_path, capsys):
     second = capsys.readouterr().out
     assert first == second
     assert first.splitlines()[0] == "period,cycle"
+
+
+@pytest.mark.parametrize("subcommand, shift, max_period", SPECTRA_CSV_SHA256)
+def test_spectra_csv_bytes_are_pinned(tmp_path, capsys, subcommand, shift, max_period):
+    size, forbidden, transition = SPECTRA_SHIFTS[shift]
+    path = write_config(tmp_path, {
+        "subshift": {"alphabet_size": size, "forbidden": forbidden},
+        "markov": {"transition": transition},
+        "grid": {"count": 1, "k_min": 1.0, "k_max": 1.0},
+        "mc": {"n_steps": 1000, "n_samples": 2, "seed": 0},
+        "bands": {"grid_points": 2001, "tol": 1e-10, "max_period": 1},
+        "epsilon": 0.01,
+        "exclusion_halfwidth": 0.02,
+    })
+    assert main([subcommand, "--config", path, "--max-period", str(max_period)]) == 0
+    out = capsys.readouterr().out
+    expected = SPECTRA_CSV_SHA256[subcommand, shift, max_period]
+    assert hashlib.sha256(out.encode()).hexdigest() == expected
 
 
 def test_main_output_file_and_json(tmp_path, capsys):

@@ -162,6 +162,22 @@ def test_enumerate_matches_unpruned_generator(spec):
         assert got == [w for w in reference if len(w) <= max_period], f"max_period {max_period}"
 
 
+@pytest.mark.parametrize("spec", ORACLE_SHIFTS.values(), ids=ORACLE_SHIFTS.keys())
+def test_enumerated_points_equal_checked_construction(spec):
+    # enumeration builds each point without re-checking the word the walk
+    # certified; the result must be indistinguishable from the public,
+    # fully checked constructor
+    points = enumerate_periodic_points(spec, 9)
+    assert points
+    for p in points:
+        w = p.cycle.letters
+        checked = PeriodicPoint(Word(w, 0), len(w))
+        assert p == checked
+        assert hash(p) == hash(checked)
+        assert type(w) is tuple
+        assert all(type(x) is int for x in w)
+
+
 @pytest.mark.parametrize("name", ["golden", "three", "two_cycle", "sparse4", "no_11", "four_triangle"])
 def test_lyndon_walk_prunes_at_forbidden_pairs(name):
     # the walk yields exactly the Lyndon words whose consecutive pairs are

@@ -21,8 +21,21 @@ from sftlab import (
     gaps,
     h_tilde_bands,
     intersect,
+    lyapunov_periodic,
     monodromy_trace,
     validate_spec,
+)
+from sftlab import spectra
+from sftlab.spectra import (
+    _acos,
+    _derivative,
+    _exact_quo,
+    _gcd,
+    _prem,
+    _primitive,
+    _trace_poly,
+    _value,
+    _variations,
 )
 
 FULL = validate_spec(2, [])
@@ -220,6 +233,22 @@ def test_candidates_full_shift_period_two():
     assert cand.intervals[1][1] == math.pi
 
 
+def test_candidates_miss_half_pi_where_the_exponent_vanishes():
+    # a known exception to reading the candidates as an outer approximation
+    # of the zero set (ROADMAP item 1): at c = 0 every step matrix is
+    # antidiagonal, so the cocycle keeps the pair of coordinate axes, and the
+    # ergodic exponent at pi/2 is zero (acceptance criterion 6) although the
+    # period-2 point (1,2) has |trace| = 2.5 there and a positive exponent
+    assert monodromy_trace(P12, math.pi / 2.0) == -2.5
+    assert lyapunov_periodic(P12, math.pi / 2.0) == pytest.approx(math.log(2.0) / 2.0, abs=1e-12)
+    full = exceptional_candidates(FULL, 6)
+    golden = exceptional_candidates(GOLDEN, 6)
+    assert [(round(lo, 4), round(hi, 4)) for lo, hi in full.intervals] == [(0.0, 0.4103), (2.7313, 3.1416)]
+    assert [(round(lo, 4), round(hi, 4)) for lo, hi in golden.intervals] == [(0.0, 0.4479), (2.6937, 3.1416)]
+    assert not full.contains(math.pi / 2.0)
+    assert not golden.contains(math.pi / 2.0)
+
+
 def test_candidates_golden_mean_against_grid_oracle():
     # membership oracle: k is a candidate iff every enumerated point has
     # |trace| <= 2 there; checked on a coarse probe grid away from edges
@@ -412,3 +441,87 @@ def test_band_structure_touching_at_quarter_pi():
     p = PeriodicPoint.from_letters((1, 1, 1, 1, 2, 2, 2, 2))
     assert band_structure_violations(p) == []
     assert len(band_set(p).intervals) == 5
+
+
+def edge_poly(letters):
+    """H = F / gcd(F, F')**2 with F = P**2 - 4 W**2, built as band_set
+    builds it."""
+    trace = _trace_poly(letters)
+    f = [0] * (2 * len(trace) - 1)
+    for i, x in enumerate(trace):
+        for j, y in enumerate(trace):
+            f[i + j] += x * y
+    f[0] -= 4 * math.prod(letters) ** 2
+    g = _gcd(f, _derivative(f))
+    return _exact_quo(_exact_quo(f, g), g)
+
+
+def c_domain_refine(h, lo, hi, e, tol):
+    """Bisection on the signs of h itself at dyadic c."""
+    s = _value(h, hi, e)
+    if s == 0:
+        return _acos(hi, e)
+    k_lo, k_hi = _acos(lo, e), _acos(hi, e)
+    while k_lo - k_hi > tol:
+        lo, hi, e = 2 * lo, 2 * hi, e + 1
+        mid = lo + 1
+        v = _value(h, mid, e)
+        if v == 0:
+            return _acos(mid, e)
+        if (v > 0) == (s > 0):
+            hi, k_hi = mid, _acos(mid, e)
+        else:
+            lo, k_lo = mid, _acos(mid, e)
+    return 0.5 * (k_lo + k_hi)
+
+
+def c_domain_edges(h, tol):
+    """Reference band edges in (0, 1], isolated in c itself: a Sturm chain
+    of h, 2n + 1 polynomials of degree <= 2n, counted at dyadic c and
+    refined with :func:`c_domain_refine`."""
+    chain = [h, _derivative(h)]
+    while len(chain[-1]) > 1:
+        chain.append([-x for x in _primitive(_prem(chain[-2], chain[-1]))])
+    out = []
+    stack = [(0, 1, 0, _variations(chain, 0, 0), _variations(chain, 1, 0))]
+    while stack:
+        lo, hi, e, v_lo, v_hi = stack.pop()
+        if v_lo - v_hi == 1:
+            out.append(c_domain_refine(h, lo, hi, e, tol))
+        elif v_lo - v_hi > 1:
+            lo, hi, e = 2 * lo, 2 * hi, e + 1
+            v_mid = _variations(chain, lo + 1, e)
+            stack.append((lo, lo + 1, e, v_lo, v_mid))
+            stack.append((lo + 1, hi, e, v_mid, v_hi))
+    return sorted(out)
+
+
+IDENTITY_SHIFTS = [
+    (FULL, 9),
+    (GOLDEN, 10),
+    (THREE, 6),
+    (validate_spec(3, [(1, 1)]), 5),
+    (validate_spec(4, [(1, 2), (2, 3), (3, 1)]), 4),
+    (validate_spec(4, [(1, 1), (2, 2), (3, 3), (4, 4), (1, 3), (3, 1), (2, 4), (4, 2)]), 6),
+    (validate_spec(5, [(1, 1), (2, 4), (5, 3)]), 3),
+]
+
+
+def test_band_set_matches_c_domain_isolation(monkeypatch):
+    # band_set isolates and refines the edges through G = H[::2] in y = c**2;
+    # the same dyadic intervals and bisection signs in c must give the same
+    # floats, bit for bit, as isolating the roots of H in c itself
+    rng = random.Random(16)
+    for spec, max_period in IDENTITY_SHIFTS:
+        for p in enumerate_periodic_points(spec, max_period):
+            h = edge_poly(p.cycle.letters)
+            assert not any(h[1::2]), p.cycle.letters
+            for _ in range(4):
+                e = rng.randrange(1, 64)
+                m = rng.randrange(-(1 << e), (1 << e) + 1)
+                assert _value(h, m, e) == _value(h[::2], m * m, 2 * e)
+            for tol in (1e-6, 1e-10, 1e-13):
+                with monkeypatch.context() as patch:
+                    patch.setattr(spectra, "_edges_above_zero", lambda *_: c_domain_edges(h, tol))
+                    expected = band_set(p, tol=tol).intervals
+                assert band_set(p, tol=tol).intervals == expected, (p.cycle.letters, tol)
