@@ -8,9 +8,11 @@ The single-step matrix for the letter pair (prev, cur) = (w_{-1}, w_0) is
                           [1,                        0        ]],
 
 a unimodular matrix depending on k only through cos k.  All trigonometry here
-goes through :func:`canonical_cos`, so two energies with equal cosine produce
-bit-identical matrices; this is what makes results repeat exactly across the
-spectral branches k, 2*pi - k, 2*pi + k, ...
+goes through :func:`canonical_cos`, so two energies with equal canonical
+cosine produce bit-identical matrices; this is what makes results at k and at
+acos(cos k) repeat exactly.  Other branches need not: the doubles cos k and
+cos(2*pi - k) can differ in the last bits, and so do their canonical
+cosines (0.0707372016677029 at k = 1.5, 0.07073720166770268 at 2*pi - 1.5).
 """
 
 from __future__ import annotations

@@ -70,14 +70,10 @@ def kirchhoff_residual(v: VertexData, k: float) -> list[float]:
     normalized by (k/|sin k|) * max|u| so thresholds are k-uniform.  Zero at a
     vertex exactly when the three-term recursion holds there."""
     check_energy(k)
-    scale = (k / abs(math.sin(k))) * max(max(abs(u) for u in v.values), 1e-300)
-    residuals = []
-    for n in range(v.word.first_index + 1, v.word.last_index + 1):
-        left = EdgeSolution(k, v.value_at(n - 1), v.value_at(n))
-        right = EdgeSolution(k, v.value_at(n), v.value_at(n + 1))
-        raw = v.word.letter(n) * edge_derivatives(right)[0] - v.word.letter(n - 1) * edge_derivatives(left)[1]
-        residuals.append(raw / scale)
-    return residuals
+    w, u = v.word.letters, v.values
+    scale = (k / abs(math.sin(k))) * max(max(map(abs, u)), 1e-300)
+    d = [edge_derivatives(EdgeSolution(k, u[i], u[i + 1])) for i in range(len(w))]
+    return [(w[i] * d[i][0] - w[i - 1] * d[i - 1][1]) / scale for i in range(1, len(w))]
 
 
 def verify_corollary(word: Word, k: float, u0: float, um1: float) -> bool:

@@ -40,8 +40,10 @@ canonicalized cosine.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import accumulate
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -322,40 +324,34 @@ def _mc_rates(
     return np.ascontiguousarray(((logs + np.log(smax)) / n_steps).T)
 
 
-def _estimate_from_rates(row: np.ndarray, k: float, n_steps, n_samples, seed) -> LyapunovEstimate:
-    value = float(np.mean(row))
-    stderr = float(np.std(row, ddof=1) / math.sqrt(n_samples))
-    return LyapunovEstimate(
-        k=float(k), value=value, stderr=stderr, n_steps=n_steps, n_samples=n_samples, seed=seed
-    )
-
-
-def _check_mc_args(n_steps: int, n_samples: int):
-    if n_steps < 1000:
-        raise ValueError("n_steps must be at least 1000")
-    if n_samples < 2:
-        raise ValueError("n_samples must be at least 2")
-
-
 def lyapunov_mc(
     measure: MarkovMeasure, k: float, n_steps: int, n_samples: int, seed: int
 ) -> LyapunovEstimate:
-    """Monte-Carlo estimate of the exponent at a single energy."""
-    _check_mc_args(n_steps, n_samples)
-    rates = _mc_rates(measure, [k], n_steps, n_samples, seed)
-    return _estimate_from_rates(rates[0], k, n_steps, n_samples, seed)
+    """Monte-Carlo estimate of the exponent at a single energy: the
+    one-point grid of :func:`lyapunov_mc_grid`."""
+    return lyapunov_mc_grid(measure, [k], n_steps, n_samples, seed)[0]
 
 
 def lyapunov_mc_grid(
     measure: MarkovMeasure, k_values: Sequence[float], n_steps: int, n_samples: int, seed: int
 ) -> list[LyapunovEstimate]:
     """Estimates for a whole energy grid in one pass over the sampled paths;
-    bit-identical to calling :func:`lyapunov_mc` per energy."""
-    _check_mc_args(n_steps, n_samples)
+    each is bit-identical to the grid's estimate at that energy alone."""
+    if n_steps < 1000:
+        raise ValueError("n_steps must be at least 1000")
+    if n_samples < 2:
+        raise ValueError("n_samples must be at least 2")
     rates = _mc_rates(measure, list(k_values), n_steps, n_samples, seed)
     return [
-        _estimate_from_rates(rates[i], k, n_steps, n_samples, seed)
-        for i, k in enumerate(k_values)
+        LyapunovEstimate(
+            k=float(k),
+            value=float(np.mean(row)),
+            stderr=float(np.std(row, ddof=1) / math.sqrt(n_samples)),
+            n_steps=n_steps,
+            n_samples=n_samples,
+            seed=seed,
+        )
+        for row, k in zip(rates, k_values)
     ]
 
 
@@ -389,11 +385,13 @@ def kalinin_profile(
 ) -> list[float]:
     """For each period budget n = 1..max_period, the min over periodic points
     of period <= n of |periodic exponent - Monte-Carlo estimate|: a
-    diagnostic that should shrink as the budget grows."""
+    diagnostic that should shrink as the budget grows.  It is a running
+    minimum over the period-sorted points, so a budget below the shortest
+    period (1 on a shift without fixed points) reads inf, the minimum over
+    no points."""
     points = enumerate_periodic_points(measure.spec, max_period)
     est = lyapunov_mc(measure, k, mc_params.n_steps, mc_params.n_samples, mc_params.seed)
-    gaps = [abs(lyapunov_periodic(p, k) - est.value) for p in points]
-    return [
-        min(g for p, g in zip(points, gaps) if p.period <= budget)
-        for budget in range(1, max_period + 1)
-    ]
+    running = list(accumulate((abs(lyapunov_periodic(p, k) - est.value) for p in points), min))
+    periods = [p.period for p in points]
+    ends = [bisect_right(periods, budget) for budget in range(1, max_period + 1)]
+    return [running[n - 1] if n else math.inf for n in ends]

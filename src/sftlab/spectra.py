@@ -220,6 +220,14 @@ def band_set(p: PeriodicPoint, grid_points: int = 2001, tol: float = 1e-10) -> B
     Everything up to the final acos is integer arithmetic, so bands merge
     wherever they touch (pi/2, pi/4, ...) and none is missed.
 
+    The bands are consecutive pairs of edges.  F > 0 for c > 1 (positive
+    leading coefficient, all roots in [-1, 1]), and c = +-1 are simple roots
+    of F: at c = 1 the recursion has the constant solution and one growing
+    like the sum of 1 / w_n, so the monodromy is parabolic, never the +-Id a
+    double root needs (Teschl, ch. 7), and c = -1 mirrors it.  So k = 0, the
+    exact top end of the top dyadic interval, is the first edge and opens a
+    band, and pi is the last edge.
+
     ``grid_points`` is validated (>= 64) but otherwise ignored: no grid is
     used.
     """
@@ -237,23 +245,9 @@ def band_set(p: PeriodicPoint, grid_points: int = 2001, tol: float = 1e-10) -> B
     g = _gcd(f, _derivative(f))
     h = _exact_quo(_exact_quo(f, g), g)
 
-    # H is even with H(0) != 0 (F has even multiplicity at 0), and its sign
-    # flips at each root, so its sign between the largest root in (0, 1]
-    # and c = 1, where the sweep from k = 0 starts, follows from H(0) and
-    # the root count.
     ks = _edges_above_zero(h[::2], tol)
-    inside = (h[0] < 0) == (len(ks) % 2 == 0)
-    intervals = []
-    lo = 0.0 if inside else None
-    for x in ks + [math.pi - k for k in reversed(ks)]:
-        if inside:
-            intervals.append((lo, x))
-        else:
-            lo = x
-        inside = not inside
-    if inside:
-        intervals.append((lo, math.pi))
-    return BandSet(tuple(intervals), tol)
+    edges = ks + [math.pi - k for k in reversed(ks)]
+    return BandSet(tuple(zip(edges[::2], edges[1::2])), tol)
 
 
 def gaps(b: BandSet) -> BandSet:

@@ -96,6 +96,53 @@ def test_load_config_parse_errors(tmp_path):
         load_config(write_config(tmp_path, bad))
 
 
+def test_load_config_reads_an_int_as_a_float(tmp_path):
+    payload = json.loads(json.dumps(GOLDEN_CONFIG))
+    payload["epsilon"] = 0
+    payload["grid"]["k_min"] = 1
+    config = load_config(write_config(tmp_path, payload))
+    assert type(config.epsilon) is float and config.epsilon == 0.0
+    assert type(config.grid.k_min) is float and config.grid.k_min == 1.0
+
+
+def test_load_config_rejects_a_non_object(tmp_path, capsys):
+    path = write_config(tmp_path, [GOLDEN_CONFIG])
+    with pytest.raises(ParseError, match="top level must be an object"):
+        load_config(path)
+    assert main(["periodic", "--config", path]) == 2
+    assert "top level must be an object" in capsys.readouterr().err
+
+
+# (section or None for the top level, key, bad value, expected message)
+BAD_FIELDS = [
+    ("grid", "count", "5", r"^grid\.count: expected int, got str$"),
+    ("mc", "seed", True, r"^mc\.seed: expected int, got bool$"),
+    (None, "epsilon", "0.01", r"^config\.epsilon: expected float, got str$"),
+    (None, "markov", [], r"^config\.markov: expected dict, got list$"),
+    ("subshift", "forbidden", [[1]], r"^subshift\.forbidden: expected a list"),
+    ("subshift", "forbidden", "2,2", r"^subshift\.forbidden: expected a list"),
+    ("subshift", "forbidden", [[2, 2.0]], r"^subshift\.forbidden: expected a list"),
+    ("subshift", "alphabet_size", 1, r"^subshift: alphabet_size must be at least 2$"),
+    ("subshift", "forbidden", [[3, 1]], r"^subshift: forbidden pair"),
+    ("mc", "n_steps", 999, r"^mc: need"),
+    ("mc", "n_samples", 1, r"^mc: need"),
+    ("mc", "seed", -1, r"^mc: need"),
+    ("bands", "grid_points", 63, r"^bands: need"),
+    ("bands", "tol", 0.0, r"^bands: need"),
+    ("bands", "max_period", 0, r"^bands: need"),
+    (None, "epsilon", -0.01, r"^epsilon and exclusion_halfwidth must be nonnegative$"),
+    (None, "exclusion_halfwidth", -1.0, r"^epsilon and exclusion_halfwidth must be nonnegative$"),
+]
+
+
+@pytest.mark.parametrize("section, key, value, match", BAD_FIELDS)
+def test_load_config_rejects_bad_fields(tmp_path, section, key, value, match):
+    bad = json.loads(json.dumps(GOLDEN_CONFIG))
+    (bad if section is None else bad[section])[key] = value
+    with pytest.raises(ParseError, match=match):
+        load_config(write_config(tmp_path, bad))
+
+
 def test_periodic_table(tmp_path):
     config = load_config(write_config(tmp_path, GOLDEN_CONFIG))
     table = run_subcommand("periodic", config)
@@ -159,6 +206,8 @@ def test_verify_graph_table(tmp_path):
     assert table.columns == ("vertex", "residual")
     assert [r[0] for r in table.rows] == list(range(0, 49))
     assert max(abs(r[1]) for r in table.rows) < 1e-9
+    with pytest.raises(ParseError, match="verify-graph requires --k"):
+        run_subcommand("verify-graph", config)
 
 
 def test_verify_graph_negative_seed(tmp_path, capsys):
@@ -218,22 +267,69 @@ def test_main_writes_csv_and_is_deterministic(tmp_path, capsys):
     assert first.splitlines()[0] == "period,cycle"
 
 
-@pytest.mark.parametrize("subcommand, shift, max_period", SPECTRA_CSV_SHA256)
-def test_spectra_csv_bytes_are_pinned(tmp_path, capsys, subcommand, shift, max_period):
+def shift_config(shift, n_steps=1000, n_samples=2, seed=0):
     size, forbidden, transition = SPECTRA_SHIFTS[shift]
-    path = write_config(tmp_path, {
+    return {
         "subshift": {"alphabet_size": size, "forbidden": forbidden},
         "markov": {"transition": transition},
         "grid": {"count": 1, "k_min": 1.0, "k_max": 1.0},
-        "mc": {"n_steps": 1000, "n_samples": 2, "seed": 0},
+        "mc": {"n_steps": n_steps, "n_samples": n_samples, "seed": seed},
         "bands": {"grid_points": 2001, "tol": 1e-10, "max_period": 1},
         "epsilon": 0.01,
         "exclusion_halfwidth": 0.02,
-    })
-    assert main([subcommand, "--config", path, "--max-period", str(max_period)]) == 0
-    out = capsys.readouterr().out
-    expected = SPECTRA_CSV_SHA256[subcommand, shift, max_period]
-    assert hashlib.sha256(out.encode()).hexdigest() == expected
+    }
+
+
+def stdout_sha256(capsys, argv):
+    assert main(argv) == 0
+    return hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("subcommand, shift, max_period", SPECTRA_CSV_SHA256)
+def test_spectra_csv_bytes_are_pinned(tmp_path, capsys, subcommand, shift, max_period):
+    path = write_config(tmp_path, shift_config(shift))
+    argv = [subcommand, "--config", path, "--max-period", str(max_period)]
+    assert stdout_sha256(capsys, argv) == SPECTRA_CSV_SHA256[subcommand, shift, max_period]
+
+
+# verify-graph on the 3-letter benchmark shift: (k, seed) -> SHA-256 of the
+# CSV, recorded with every interior edge's solution built twice
+VERIFY_GRAPH_CSV_SHA256 = {
+    ("0.7", "0"): "8520d552c936ee90fe3158fc6e580813b1f9a7a2533ace47def0e0b6308e8da7",
+    ("1.3", "5"): "c22213a9f882c15b746766cc19ee607d5d38dc329e19c07e955a03cafb740d17",
+    ("2.9", "17"): "ad99def67a04a0f3d1f1858be295051349e0024bd545961a9fc8e3428a8c4f3f",
+    ("1.5707963267948966", "3"): "ee68d4b66673fb3d218ab358dab70d5d25e439ffbebf8dcd8fe731f49ee0f9d3",
+}
+
+
+@pytest.mark.parametrize("k, seed", VERIFY_GRAPH_CSV_SHA256)
+def test_verify_graph_csv_bytes_are_pinned(tmp_path, capsys, k, seed):
+    path = write_config(tmp_path, shift_config("three"))
+    argv = ["verify-graph", "--config", path, "--k", k, "--seed", seed]
+    assert stdout_sha256(capsys, argv) == VERIFY_GRAPH_CSV_SHA256[k, seed]
+
+
+def test_kalinin_csv_bytes_are_pinned(tmp_path, capsys):
+    # recorded with the single-energy estimate computed apart from the grid
+    # and the profile as a min per budget, on x86-64 with AVX-512 and
+    # numpy 2.4; the Monte-Carlo value goes through numpy's vectorized log,
+    # whose last bit may differ on another SIMD target
+    path = write_config(tmp_path, shift_config("full", n_steps=2000, n_samples=4, seed=7))
+    argv = ["kalinin", "--config", path, "--k", "0.9", "--max-period", "5"]
+    assert stdout_sha256(capsys, argv) == "66d66ea330a063e1e22084537d740f13a3e1641278ad8cf933571fdc0ebd716a"
+
+
+def test_kalinin_on_a_shift_without_fixed_points(tmp_path, capsys):
+    # the budget 1 has no periodic point, so its gap is the minimum over
+    # the empty set
+    config = shift_config("full")
+    config["subshift"]["forbidden"] = [[1, 1], [2, 2]]
+    config["markov"]["transition"] = [[0, 1], [1, 0]]
+    path = write_config(tmp_path, config)
+    assert main(["kalinin", "--config", path, "--k", "1.0", "--max-period", "3"]) == 0
+    rows = capsys.readouterr().out.splitlines()
+    assert rows[:2] == ["max_period,gap", "1,inf"]
+    assert len(rows) == 4 and all(math.isfinite(float(r.split(",")[1])) for r in rows[2:])
 
 
 def test_main_output_file_and_json(tmp_path, capsys):

@@ -29,6 +29,7 @@ from sftlab import (
     monodromy_trace,
     projective,
     sample_window,
+    scaled_from,
     scaled_mul,
     shift,
     solve_difference,
@@ -414,3 +415,24 @@ def test_recursion_matches_cocycle_route():
         scale = max(1.0, abs(top), abs(bottom))
         assert values[n + 1] == pytest.approx(top, abs=1e-10 * scale)
         assert values[n] == pytest.approx(bottom, abs=1e-10 * scale)
+
+
+def test_matrix_helpers_reject_degenerate_input():
+    with pytest.raises(ValueError, match="letters must be positive integers"):
+        a_matrix(1.0, 0, 1)
+    with pytest.raises(ValueError, match="letters must be positive integers"):
+        a_matrix(1.0, 2, -1)
+    with pytest.raises(ValueError, match="zero matrix"):
+        scaled_from(Mat2(0.0, 0.0, 0.0, 0.0), 1.0)
+    with pytest.raises(ZeroDivisionError, match="singular 2x2 matrix"):
+        mat_inv(Mat2(1.0, 2.0, 2.0, 4.0))
+
+
+def test_products_need_a_window_covering_minus_one():
+    # both routes start from index -1: a window from 0 on, or one ending
+    # before -1, has no first step
+    for word in (Word((1, 2, 1), 0), Word((1, 2), -4)):
+        with pytest.raises(ValueError, match="word must cover index -1"):
+            cocycle_product(1.0, word)
+        with pytest.raises(ValueError, match="word must cover index -1"):
+            solve_difference(1.0, word, 1.0, 0.0)

@@ -143,3 +143,11 @@ def test_verify_corollary_false_for_non_solutions():
 def test_verify_corollary_zero_data():
     word = Word((1, 2, 1, 1, 2), -1)
     assert verify_corollary(word, 1.0, 0.0, 0.0)
+
+
+def test_vertex_value_outside_window():
+    data = VertexData(Word((1, 2), -1), (1.0, 2.0, 3.0))
+    assert data.value_at(-1) == 1.0 and data.value_at(1) == 3.0
+    for n in (-2, 2):
+        with pytest.raises(IndexError, match=f"vertex {n} outside window"):
+            data.value_at(n)

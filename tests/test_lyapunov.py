@@ -15,6 +15,7 @@ from sftlab import (
     Word,
     a_matrix,
     cocycle_product,
+    enumerate_periodic_points,
     in_exclusion_window,
     kalinin_profile,
     lyapunov_mc,
@@ -578,3 +579,27 @@ def test_kalinin_profile_entries_are_gaps_per_budget():
         profile = kalinin_profile(measure, k, 5, mc)
         for mp in range(1, 6):
             assert profile[:mp] == kalinin_profile(measure, k, mp, mc)
+
+
+def test_kalinin_profile_is_the_min_over_each_budget():
+    # the running minimum equals the min over the points of each budget
+    # taken one budget at a time, bit for bit
+    mc = McParams(5000, 8, 37)
+    for measure, k in ((FULL_UNIFORM, 2.0), (GOLDEN_HALF, 1.2), (THREE_MARKOV, 2.7)):
+        points = enumerate_periodic_points(measure.spec, 7)
+        est = lyapunov_mc(measure, k, mc.n_steps, mc.n_samples, mc.seed)
+        gaps = [abs(lyapunov_periodic(p, k) - est.value) for p in points]
+        expected = [
+            min(g for p, g in zip(points, gaps) if p.period <= budget) for budget in range(1, 8)
+        ]
+        assert kalinin_profile(measure, k, 7, mc) == expected
+
+
+def test_kalinin_profile_without_fixed_points():
+    # the 2-cycle shift has no point of period 1: that budget is the minimum
+    # over no points, and the period-2 point (1, 2) sets every later entry
+    mc = McParams(2000, 4, 3)
+    profile = kalinin_profile(TWO_CYCLE, 1.0, 4, mc)
+    est = lyapunov_mc(TWO_CYCLE, 1.0, 2000, 4, 3)
+    gap = abs(lyapunov_periodic(PeriodicPoint.from_letters((1, 2)), 1.0) - est.value)
+    assert profile == [math.inf, gap, gap, gap]

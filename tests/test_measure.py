@@ -355,3 +355,8 @@ def test_generator_stream_is_call_size_independent():
     b = np.random.Generator(np.random.PCG64(s))
     left = np.concatenate([a.random(5), a.random(3)])
     assert np.array_equal(left, b.random(8))
+
+
+def test_sample_window_rejects_reversed_indices():
+    with pytest.raises(ValueError, match="first_index must be <= last_index"):
+        sample_window(full_uniform(), 3, 2, 0)

@@ -374,3 +374,33 @@ def test_word_window_and_letter():
     assert w.window(0, 1).base_index == 0
     with pytest.raises(IndexError):
         w.letter(3)
+
+
+def test_allows_rejects_letters_outside_alphabet():
+    assert GOLDEN.allows(1, 2) and not GOLDEN.allows(2, 2)
+    for prev, cur in ((0, 1), (1, 3), (3, 3)):
+        with pytest.raises(ValueError, match=r"letters must lie in 1\.\.2"):
+            GOLDEN.allows(prev, cur)
+
+
+def test_windows_reject_empty_and_uncovered_ranges():
+    w = Word((1, 2, 1, 1), -1)
+    with pytest.raises(ValueError, match="empty window requested"):
+        w.window(1, 0)
+    with pytest.raises(IndexError, match=r"\[-2, 0\] outside \[-1, 2\]"):
+        w.window(-2, 0)
+    with pytest.raises(IndexError):
+        w.window(0, 3)
+    with pytest.raises(ValueError, match="empty window requested"):
+        PeriodicPoint.from_letters((1, 2)).window(5, 4)
+
+
+def test_periodic_point_rejects_bad_shapes():
+    with pytest.raises(ValueError, match="^empty cycle$"):
+        PeriodicPoint(Word(()), 0)
+    with pytest.raises(ValueError, match=r"^period 3 != cycle length 2$"):
+        PeriodicPoint(Word((1, 2)), 3)
+    # a nonzero base index is moved to 0, not rejected
+    p = PeriodicPoint(Word((1, 2), 5), 2)
+    assert p.cycle.base_index == 0
+    assert p == PeriodicPoint.from_letters((1, 2))

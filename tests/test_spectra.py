@@ -443,15 +443,21 @@ def test_band_structure_touching_at_quarter_pi():
     assert len(band_set(p).intervals) == 5
 
 
-def edge_poly(letters):
-    """H = F / gcd(F, F')**2 with F = P**2 - 4 W**2, built as band_set
-    builds it."""
+def floquet_poly(letters):
+    """F = P**2 - 4 W**2, negative exactly inside the bands."""
     trace = _trace_poly(letters)
     f = [0] * (2 * len(trace) - 1)
     for i, x in enumerate(trace):
         for j, y in enumerate(trace):
             f[i + j] += x * y
     f[0] -= 4 * math.prod(letters) ** 2
+    return f
+
+
+def edge_poly(letters):
+    """H = F / gcd(F, F')**2 with F = P**2 - 4 W**2, built as band_set
+    builds it."""
+    f = floquet_poly(letters)
     g = _gcd(f, _derivative(f))
     return _exact_quo(_exact_quo(f, g), g)
 
@@ -525,3 +531,20 @@ def test_band_set_matches_c_domain_isolation(monkeypatch):
                     patch.setattr(spectra, "_edges_above_zero", lambda *_: c_domain_edges(h, tol))
                     expected = band_set(p, tol=tol).intervals
                 assert band_set(p, tol=tol).intervals == expected, (p.cycle.letters, tol)
+
+
+def test_band_edges_at_zero_and_pi_are_simple():
+    # c = +-1 are simple roots of F: the monodromy there is parabolic, never
+    # +-Id, so the first band starts at exactly 0.0 and the last ends at
+    # exactly pi, and band_set pairs consecutive edges from there
+    for spec, max_period in IDENTITY_SHIFTS:
+        for p in enumerate_periodic_points(spec, max_period):
+            f = floquet_poly(p.cycle.letters)
+            df = _derivative(f)
+            for c in (1, -1):
+                assert poly_at(f, c) == 0 != poly_at(df, c), (p.cycle.letters, c)
+            for tol in (1e-6, 1e-10, 1e-13):
+                intervals = band_set(p, tol=tol).intervals
+                assert intervals[0][0] == 0.0 and intervals[-1][1] == math.pi
+                assert all(lo < hi for lo, hi in intervals)
+                assert all(a[1] < b[0] for a, b in zip(intervals, intervals[1:]))
