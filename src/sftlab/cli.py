@@ -23,6 +23,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import sys
 from dataclasses import dataclass
 
@@ -168,9 +169,16 @@ class ResultTable:
         return buf.getvalue()
 
     def to_json(self) -> str:
+        """Strict JSON: a non-finite float is written as its CSV cell, the
+        string ``"inf"``, ``"-inf"`` or ``"nan"``."""
+        rows = [
+            [self._cell(v) if isinstance(v, float) and not math.isfinite(v) else v for v in row]
+            for row in self.rows
+        ]
         return json.dumps(
-            {"schema": self.schema_id, "columns": list(self.columns), "rows": [list(r) for r in self.rows]},
+            {"schema": self.schema_id, "columns": list(self.columns), "rows": rows},
             indent=2,
+            allow_nan=False,
         )
 
 
@@ -250,10 +258,19 @@ def run_subcommand(
     raise UnknownSubcommand(f"unknown subcommand {name!r}; expected one of {SUBCOMMANDS}")
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser(subcommand: str | None = None) -> argparse.ArgumentParser:
+    """The whole CLI, or, given ``subcommand``, the same parser with arguments
+    for that subcommand only.  The other subparsers are then bare names, which
+    is all the top-level parser reads of them (its usage, its help and its
+    choice check), so the two give the same result on every argv that
+    dispatches to ``subcommand``.  ``main`` builds a parser on every call; the
+    bare names save about half of that set-up."""
     parser = argparse.ArgumentParser(prog="sftlab", description=__doc__.splitlines()[0])
     subs = parser.add_subparsers(dest="subcommand", required=True)
     for name in SUBCOMMANDS:
+        if subcommand not in (None, name):
+            subs.add_parser(name, add_help=False)
+            continue
         sp = subs.add_parser(name)
         sp.add_argument("--config", required=True, help="path to the JSON config")
         sp.add_argument("--json", action="store_true", help="emit JSON instead of CSV")
@@ -267,8 +284,16 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _parse_args(argv: list[str]) -> argparse.Namespace:
+    # argparse dispatches to the subcommand named by the first positional
+    # token, and no top-level option takes a value, so that is the first
+    # token naming a subcommand; with none, the top-level parser decides.
+    subcommand = next((a for a in argv if a in SUBCOMMANDS), None)
+    return _build_parser(subcommand).parse_args(argv)
+
+
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    args = _parse_args(sys.argv[1:] if argv is None else list(argv))
     try:
         config = load_config(args.config)
         table = run_subcommand(

@@ -11,7 +11,7 @@ import sys
 
 import pytest
 
-from sftlab import NotTransitive, ParseError, SupportViolation, UnknownSubcommand
+from sftlab import NotTransitive, ParseError, SupportViolation, UnknownSubcommand, cli
 from sftlab.cli import ResultTable, load_config, main, run_subcommand
 
 GOLDEN_CONFIG = {
@@ -250,11 +250,15 @@ def test_csv_round_trip():
     assert rows[1][2] == "x,y"
 
 
+def reject_constant(name):
+    raise ValueError(f"non-standard JSON token {name}")
+
+
 def test_json_mirror():
-    table = ResultTable("demo", ("a",), [(0.5,), (1.0,)])
-    payload = json.loads(table.to_json())
+    table = ResultTable("demo", ("a",), [(0.5,), (1.0,), (math.inf,), (-math.inf,), (math.nan,)])
+    payload = json.loads(table.to_json(), parse_constant=reject_constant)
     assert payload["schema"] == "demo"
-    assert payload["rows"] == [[0.5], [1.0]]
+    assert payload["rows"] == [[0.5], [1.0], ["inf"], ["-inf"], ["nan"]]
 
 
 def test_main_writes_csv_and_is_deterministic(tmp_path, capsys):
@@ -319,17 +323,30 @@ def test_kalinin_csv_bytes_are_pinned(tmp_path, capsys):
     assert stdout_sha256(capsys, argv) == "66d66ea330a063e1e22084537d740f13a3e1641278ad8cf933571fdc0ebd716a"
 
 
-def test_kalinin_on_a_shift_without_fixed_points(tmp_path, capsys):
-    # the budget 1 has no periodic point, so its gap is the minimum over
-    # the empty set
+def two_cycle_config(tmp_path):
+    # the 2-letter shift whose only orbit is the 2-cycle: no fixed points
     config = shift_config("full")
     config["subshift"]["forbidden"] = [[1, 1], [2, 2]]
     config["markov"]["transition"] = [[0, 1], [1, 0]]
-    path = write_config(tmp_path, config)
+    return write_config(tmp_path, config)
+
+
+def test_kalinin_on_a_shift_without_fixed_points(tmp_path, capsys):
+    # the budget 1 has no periodic point, so its gap is the minimum over
+    # the empty set
+    path = two_cycle_config(tmp_path)
     assert main(["kalinin", "--config", path, "--k", "1.0", "--max-period", "3"]) == 0
     rows = capsys.readouterr().out.splitlines()
     assert rows[:2] == ["max_period,gap", "1,inf"]
     assert len(rows) == 4 and all(math.isfinite(float(r.split(",")[1])) for r in rows[2:])
+
+
+def test_kalinin_json_is_strict_on_a_shift_without_fixed_points(tmp_path, capsys):
+    path = two_cycle_config(tmp_path)
+    assert main(["kalinin", "--config", path, "--json", "--k", "1.0", "--max-period", "3"]) == 0
+    payload = json.loads(capsys.readouterr().out, parse_constant=reject_constant)
+    assert payload["rows"][0] == [1, "inf"]
+    assert all(math.isfinite(gap) for _, gap in payload["rows"][1:])
 
 
 def test_main_output_file_and_json(tmp_path, capsys):
@@ -363,12 +380,102 @@ def test_main_exit_code_numeric_failure(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+def run_module(*args):
+    return subprocess.run([sys.executable, "-m", "sftlab", *args], capture_output=True)
+
+
 def test_module_entry_point(tmp_path):
     path = write_config(tmp_path, FULL_CONFIG)
-    proc = subprocess.run(
-        [sys.executable, "-m", "sftlab", "periodic", "--config", path],
-        capture_output=True,
-        text=True,
-    )
+    proc = run_module("periodic", "--config", path)
     assert proc.returncode == 0
-    assert proc.stdout.splitlines()[0] == "period,cycle"
+    assert proc.stdout.splitlines()[0] == b"period,cycle"
+    path = write_config(tmp_path, shift_config("three"), name="three.json")
+    proc = run_module("verify-graph", "--config", path, "--k", "2.9", "--seed", "17")
+    assert proc.returncode == 0
+    assert hashlib.sha256(proc.stdout).hexdigest() == VERIFY_GRAPH_CSV_SHA256["2.9", "17"]
+    proc = run_module()
+    assert proc.returncode == 2
+    assert proc.stdout == b""
+    assert proc.stderr.startswith(b"usage: sftlab ")
+
+
+def test_console_script_reads_sys_argv(tmp_path, capsys, monkeypatch):
+    # the [project.scripts] entry calls main() with no argv
+    path = write_config(tmp_path, shift_config("three"))
+    argv = ["verify-graph", "--config", path, "--k", "1.3", "--seed", "5"]
+    monkeypatch.setattr(sys, "argv", ["/usr/local/bin/sftlab", *argv])
+    assert stdout_sha256(capsys, None) == VERIFY_GRAPH_CSV_SHA256["1.3", "5"]
+    monkeypatch.setattr(sys, "argv", ["/usr/local/bin/sftlab"])
+    with pytest.raises(SystemExit) as exc:
+        main()
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.startswith("usage: sftlab ")
+
+
+def outcome(capsys, call, argv):
+    # the return value or SystemExit code, stdout and stderr of call(argv)
+    try:
+        result = call(argv)
+    except SystemExit as exc:
+        result = exc.code
+    captured = capsys.readouterr()
+    return result, captured.out, captured.err
+
+
+def test_main_calls_in_one_process_are_independent(tmp_path, capsys):
+    # each argv gives the same exit code, stdout and stderr whether it runs
+    # first or after the others
+    path = write_config(tmp_path, FULL_CONFIG)  # bands.max_period 2
+    sequence = [
+        ["periodic", "--config", path, "--max-period", "3"],
+        ["periodic", "--config", path],
+        ["verify-graph", "--config", path, "--k", "1.0", "--seed", "5"],
+        ["verify-graph", "--config", path, "--k", "1.0"],
+        ["candidates", "--config", path, "--json"],
+        ["candidates", "--config", path],
+        ["verify-graph", "--config", path],
+        ["--help"],
+    ]
+    forward = [outcome(capsys, main, argv) for argv in sequence]
+    backward = [outcome(capsys, main, argv) for argv in sequence[::-1]]
+    assert backward[::-1] == forward
+    assert [code for code, _, _ in forward] == [0, 0, 0, 0, 0, 0, 2, 0]
+    assert forward[1][1] == 'period,cycle\n1,1\n1,2\n2,"1,2"\n'
+    assert forward[2][1] != forward[3][1]
+    assert forward[4][1].startswith("{") and forward[5][1].startswith("interval_index,")
+    assert forward[6][2].startswith("usage: sftlab verify-graph ")
+    assert forward[6][2].endswith("error: the following arguments are required: --k\n")
+    assert forward[7][1].startswith("usage: sftlab ")
+
+
+PARSER_ARGVS = [
+    [],
+    ["--help"],
+    ["-h", "periodic"],
+    ["nope"],
+    ["-1", "periodic", "--config", "c"],
+    ["--config", "c", "periodic"],
+    ["--", "periodic", "--config", "c"],
+    ["periodic"],
+    ["periodic", "--config"],
+    ["periodic", "--config", "c", "--max-period", "x"],
+    ["periodic", "--config", "c", "--k", "1"],
+    ["periodic", "--config", "c", "bands"],
+    ["bands", "--config", "periodic", "--json", "--output", "o"],
+    ["candidates", "--conf", "c", "--max", "4"],
+    ["lyapunov", "--config=c"],
+    ["zeroset", "-h"],
+    ["kalinin", "--config", "c"],
+    ["kalinin", "--config", "c", "--k", "0.5", "--max-period", "3"],
+    ["verify-graph", "--config", "c", "--k", "-1.5", "--seed", "7"],
+    ["verify-graph", "--config", "c", "--k", "1", "--seed", "1.5"],
+    *[[name, "--help"] for name in cli.SUBCOMMANDS],
+]
+
+
+@pytest.mark.parametrize("argv", PARSER_ARGVS, ids=" ".join)
+def test_parser_of_one_subcommand_matches_the_whole_cli(capsys, argv):
+    # main builds arguments only for the subcommand argv names; the result,
+    # usage, help and messages are those of the parser with every subcommand
+    whole = outcome(capsys, cli._build_parser().parse_args, argv)
+    assert outcome(capsys, cli._parse_args, argv) == whole
