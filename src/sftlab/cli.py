@@ -79,6 +79,8 @@ def _get(mapping, key, kind, context):
         value = float(value)
     if not isinstance(value, kind) or isinstance(value, bool):
         raise ParseError(f"{context}.{key}: expected {kind.__name__}, got {type(value).__name__}")
+    if kind is float and not math.isfinite(value):  # json.load reads bare NaN and Infinity
+        raise ParseError(f"{context}.{key}: expected a finite float, got {value}")
     return value
 
 
@@ -97,7 +99,7 @@ def load_config(path: str) -> RunConfig:
     alphabet_size = _get(sub, "alphabet_size", int, "subshift")
     forbidden = sub.get("forbidden", [])
     if not isinstance(forbidden, list) or not all(
-        isinstance(p, list) and len(p) == 2 and all(isinstance(x, int) for x in p) for p in forbidden
+        isinstance(p, list) and len(p) == 2 and all(type(x) is int for x in p) for p in forbidden
     ):
         raise ParseError("subshift.forbidden: expected a list of [i, j] letter pairs")
     try:
@@ -303,18 +305,18 @@ def main(argv=None) -> int:
             seed=getattr(args, "seed", None),
             max_period=getattr(args, "max_period", None),
         )
+        text = table.to_json() if args.json else table.to_csv()
+        if args.output:
+            with open(args.output, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        else:
+            sys.stdout.write(text)
     except SingularEnergy as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except (SftlabError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    text = table.to_json() if args.json else table.to_csv()
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
     return 0
 
 

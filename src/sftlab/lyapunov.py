@@ -14,14 +14,13 @@ The L-step products of the admissible (L+1)-letter words are tabulated per
 energy from the single-step matrices, with L the longest length that has at
 most 512 such words (8 steps on the full 2-shift, 11 on the golden mean).
 The sampler walks blocks of L * 2**m steps in chunks of exactly L letters
-and hands out its position-word table, whose row per walk position holds
-the letter before a chunk and the chunk: one word.  Its rows are numbered
-once per call, so a whole block is 2**m word slots, one gather of ids away
-from its positions.  Only a short last block has the
-r leftover letters of a partial chunk, one slot per single step, and
-identity padding up to a power of two.  The slots are multiplied as a
-balanced tree (later half on the left, renormalized every third level); the
-block's product then advances the running lane product.
+and hands out the admissible (L+1)-letter words in lexicographic order and,
+per chunk, the id of its word: the letter before the chunk and the chunk.
+So a whole block is 2**m word slots, its ids as they come.  Only a short
+last block has the r leftover letters of a partial chunk, one slot per
+single step, and identity padding up to a power of two.  The slots are
+multiplied as a balanced tree (later half on the left, renormalized every
+third level); the block's product then advances the running lane product.
 Energies sit on the innermost axis of every kernel array, so gathering a
 slot copies one contiguous row of all energies.  Blocks are gathered in
 chunks of lanes with every energy, or of energies for one lane, of at most
@@ -191,44 +190,26 @@ def _bit_reversal(size: int) -> np.ndarray:
     return rev
 
 
-def _word_slots(pos_words: np.ndarray, l: int) -> tuple[np.ndarray, np.ndarray]:
-    """The (L+1)-letter words in the rows of the sampler's position-word
-    table (l*nb**L, L+1), over l letters.  Returns each row's word id and
-    the letters of the distinct words in id order, shape (n_words, L+1).
-    The walk steps only along allowed pairs and reaches every admissible
-    word, so n_words is the count of :func:`_word_steps`."""
-    ids, n = pos_words[:, 0], l
-    for m in range(1, pos_words.shape[1]):  # number the distinct (m+1)-letter prefixes in order
-        key = ids * l + pos_words[:, m]
-        seen = np.zeros(n * l, dtype=bool)
-        seen[key] = True
-        ids, n = (np.cumsum(seen) - 1)[key], int(np.count_nonzero(seen))
-    words = np.empty((n, pos_words.shape[1]), dtype=np.intp)
-    words[ids] = pos_words  # every row of a word holds the same letters
-    return ids, words
-
-
 def _block_slots(
-    pos: np.ndarray, b: int, pos_words: np.ndarray, l: int, ids: np.ndarray, step0: int, pad: int
+    ids: np.ndarray, b: int, words: np.ndarray, l: int, step0: int, pad: int
 ) -> np.ndarray:
     """Indices into the combined table of a sampler block of b letters, from
-    its walk positions pos (chunks, lanes), rows of the position-word table
-    pos_words (l*nb**L, L+1), shape (P, lanes) with P the next power of two:
-    the word id ids[pos] of every whole chunk (the map of
-    :func:`_word_slots`), then the leftover single steps step0 + x*l + y of
-    the r = b % L letters of a last partial chunk, read off its row as
-    pos_words[pos, :r+1], then identity padding (index pad).  A whole block
-    of the walk is 2**m whole chunks, so it fills P = 2**m slots with words
-    alone; only a short last block has leftover steps or padding.  Time t
-    is stored at row bitrev(t), so that the later half of every level of
-    :func:`_tree_product` is its upper half."""
-    whole, r = divmod(b, pos_words.shape[1] - 1)
+    the ids (chunks, lanes) of its chunks' words in the sampler's word table
+    words (n_words, L+1), shape (P, lanes) with P the next power of two:
+    the word id of every whole chunk, then the leftover single steps
+    step0 + x*l + y of the r = b % L letters of a last partial chunk, read
+    off its word's first r+1 letters, then identity padding (index pad).  A
+    whole block of the walk is 2**m whole chunks, so it fills P = 2**m slots
+    with words alone; only a short last block has leftover steps or
+    padding.  Time t is stored at row bitrev(t), so that the later half of
+    every level of :func:`_tree_product` is its upper half."""
+    whole, r = divmod(b, words.shape[1] - 1)
     n = whole + r
     rev = _bit_reversal(1 << (n - 1).bit_length())
-    slots = np.full((len(rev), pos.shape[1]), pad, dtype=np.intp)
-    slots[rev[:whole]] = ids[pos[:whole]]
+    slots = np.full((len(rev), ids.shape[1]), pad, dtype=np.intp)
+    slots[rev[:whole]] = ids[:whole]
     if r:
-        full = pos_words[pos[whole], : r + 1]
+        full = words[ids[whole], : r + 1]
         slots[rev[whole:n]] = (step0 + full[:, :-1] * l + full[:, 1:]).T
     return slots
 
@@ -281,12 +262,13 @@ def _mc_rates(
     """Per-sample rates, shape (len(k_values), n_samples).
 
     The sampler walks blocks of L * 2**m letters in chunks of
-    L = _word_steps(measure) letters; :func:`_block_slots` turns its walk
-    positions into one slot per whole (L+1)-letter word (a row of its
-    position-word table, numbered by :func:`_word_slots`) and, in a short
-    last block, one per leftover single step and identity padding up to a
-    power of two, gathered from one combined table (admissible words |
-    steps | identity) per energy; no letters are built for whole chunks.
+    L = _word_steps(measure) letters and hands out the id of each chunk's
+    (L+1)-letter word in its table of the admissible words;
+    :func:`_block_slots` makes each whole chunk's id its slot and, in a
+    short last block, adds one slot per leftover single step and identity
+    padding up to a power of two, gathered from one combined table
+    (admissible words | steps | identity) per energy; no letters are built
+    for whole chunks.
     :func:`_tree_product` multiplies the slots as a balanced tree and
     :func:`_advance` applies the block's product to the running lane
     product.  Tables, running product (4, n_samples, n_k) and logs
@@ -297,8 +279,7 @@ def _mc_rates(
     block, so the chunks never change a bit of the result."""
     l = measure.spec.alphabet_size
     length = _word_steps(measure)
-    _, pos_words, walk = _lane_walk(measure, [(int(seed), i) for i in range(n_samples)], n_steps + 1, length)
-    ids, words = _word_slots(pos_words, l)
+    _, words, walk = _lane_walk(measure, [(int(seed), i) for i in range(n_samples)], n_steps + 1, length)
     steps = _step_table(measure, k_values)
     eye = np.zeros((4, 1, len(k_values)))
     eye[0] = eye[3] = 1.0
@@ -309,8 +290,8 @@ def _mc_rates(
     m[0] = m[3] = 1.0
     logs = np.zeros((n_samples, len(k_values)))
 
-    for b, pos in walk:
-        slots = _block_slots(pos, b, pos_words, l, ids, step0, pad)
+    for b, ids in walk:
+        slots = _block_slots(ids, b, words, l, step0, pad)
         for ks, lane_runs in _chunks(len(k_values), n_samples, 4 * len(slots)):
             sub = np.ascontiguousarray(table[:, :, ks])  # a copy only if the energies split
             for lanes in lane_runs:

@@ -22,14 +22,16 @@ letters that follow.  Each block of k * 2**m letters, the largest
 power-of-two count of whole chunks within 1024 letters (the last block may
 be shorter), draws every lane's uniforms into a row, turns them into bucket
 codes, and walks the lanes with one table gather per k letters.  The block
-length never changes a letter: each lane reads one stream.  The walk yields
-rows of a position-word table, each holding the letter before a chunk and
-then its k letters; how rows are numbered stays inside this module.  A
-block's letters are one gather of rows away (:func:`_block_letters`), and
-the Monte-Carlo kernel reads its word slots off the rows, walking chunks of
-exactly its word length L.  Otherwise k is the longest chunk whose table has
-at most ``min(256, letters to walk)`` codes (k = 8 with one threshold, as
-on the uniform full shift and on the golden mean with weights 1/2).
+length never changes a letter: each lane reads one stream.  The walk hands
+out the distinct (k+1)-letter words, each the letter before a chunk and
+then its k letters, numbered once in lexicographic order while the tables
+are built, and yields each chunk's word id; how walk positions are
+numbered stays inside this module.  A block's letters are one gather of
+words away (:func:`_block_letters`), and the Monte-Carlo kernel takes the
+ids as its word slots, walking chunks of exactly its word length L.
+Otherwise k is the longest chunk whose table has at most
+``min(256, letters to walk)`` codes (k = 8 with one threshold, as on the
+uniform full shift and on the golden mean with weights 1/2).
 """
 
 from __future__ import annotations
@@ -69,8 +71,8 @@ def stationary_markov(spec: SubshiftSpec, transition) -> MarkovMeasure:
     n = spec.alphabet_size
     if p.shape != (n, n):
         raise NotStochastic(f"transition matrix must be {n}x{n}, got shape {p.shape}")
-    if np.any(p < 0.0):
-        raise NotStochastic("transition probabilities must be nonnegative")
+    if not np.all((p >= 0.0) & np.isfinite(p)):
+        raise NotStochastic("transition probabilities must be finite and nonnegative")
     rowsum = p.sum(axis=1)
     if np.any(np.abs(rowsum - 1.0) > _ROW_TOL):
         raise NotStochastic(f"rows must sum to 1 within {_ROW_TOL}; sums are {rowsum}")
@@ -101,28 +103,28 @@ def _lane_walk(
     measure: MarkovMeasure, seeds, n_letters: int, k: int | None = None
 ) -> tuple[np.ndarray, np.ndarray, Iterator[tuple[int, np.ndarray]]]:
     """The contract's walk over n_letters letters per lane (one per seed):
-    each lane's 0-based first letter, shape (lanes,); the position-word
-    table of :func:`_chunk_tables` for chunks of k letters (by default its
-    length-capped k), whose every row holds the letter before a chunk and
-    then the chunk; and an iterator over the blocks after the first letter
-    that yields (b, pos), pos the rows of :func:`_walk_block`, shape
-    (ceil(b / k), lanes).  Every block but the last has b = k * 2**m letters,
-    the largest power-of-two count of whole chunks within _BLOCK letters, so
-    it is 2**m whole chunks; the last block may be shorter.  The letters do
-    not depend on the block length: each lane draws one stream."""
+    each lane's 0-based first letter, shape (lanes,); the words of
+    :func:`_chunk_tables` for chunks of k letters (by default its
+    length-capped k), each the letter before a chunk and then the chunk;
+    and an iterator over the blocks after the first letter that yields
+    (b, ids), ids the id of every chunk's word, shape (ceil(b / k), lanes).
+    Every block but the last has b = k * 2**m letters, the largest
+    power-of-two count of whole chunks within _BLOCK letters, so it is 2**m
+    whole chunks; the last block may be shorter.  The letters do not depend
+    on the block length: each lane draws one stream."""
     gens = [np.random.Generator(np.random.PCG64(np.random.SeedSequence(s))) for s in seeds]
     stationary_cum = np.cumsum(measure.stationary)[:-1].tolist()
     first = np.array([bisect_right(stationary_cum, g.random()) for g in gens], dtype=np.intp)
-    theta, words, last = _chunk_tables(measure, n_letters - 1, k)
+    theta, words, word_of, last = _chunk_tables(measure, n_letters - 1, k)
     k = words.shape[1] - 1
     block = k << ((_BLOCK // k).bit_length() - 1)  # k * 2**m
 
     def blocks(cur):
         for done in range(1, n_letters, block):
             b = min(block, n_letters - done)
-            pos = _walk_block(gens, theta, words, last, cur, b)
-            cur = words[pos[-1], (b - 1) % k + 1]  # the block's last letter
-            yield b, pos
+            ids = word_of[_walk_block(gens, theta, last, k, cur, b)]
+            cur = words[ids[-1], (b - 1) % k + 1]  # the block's last letter
+            yield b, ids
 
     return first, words, blocks(first.copy())  # callers may change first
 
@@ -135,58 +137,66 @@ def _thresholds(measure: MarkovMeasure) -> tuple[list[list[float]], list[float]]
 
 
 def _walk_size(measure: MarkovMeasure, k: int) -> int:
-    """Rows of the position-word table of chunks of k letters, l * nb**k."""
+    """Walk positions of chunks of k letters, l * nb**k (:func:`_chunk_tables`)."""
     return measure.spec.alphabet_size * (len(_thresholds(measure)[1]) + 1) ** k
 
 
 def _chunk_tables(
     measure: MarkovMeasure, n_walk: int, k: int | None = None
-) -> tuple[list[float], np.ndarray, np.ndarray]:
-    """The thresholds Theta, sorted; the position-word table words, shape
-    (l * nb**k, k+1), whose row p = s*nb**k + code holds the letter s and
-    then the k letters that follow it when the k uniforms of a chunk fall in
-    the buckets of code (base nb = len(Theta) + 1, first step most
-    significant); and last[p] = words[p, -1] * nb**k.  k is the given chunk
-    length, or by default the longest chunk with
+) -> tuple[list[float], np.ndarray, np.ndarray, np.ndarray]:
+    """The thresholds Theta, sorted; words, the distinct (k+1)-letter words
+    of the walk in lexicographic order, shape (n_words, k+1); and for every
+    walk position p = s*nb**k + code, the id word_of[p] of the word of the
+    letter s and the k letters that follow it when the k uniforms of a
+    chunk fall in the buckets of code (base nb = len(Theta) + 1, first step
+    most significant), and last[p], its last letter times nb**k.  k is the
+    given chunk length, or by default the longest chunk with
     nb**k <= min(_CHUNK_TABLE_MAX, n_walk), at least 1, so a short walk
-    builds a small table.
+    builds a small table.  Every admissible word has positive probability,
+    so words are exactly the admissible (k+1)-letter words.
 
     A uniform u in bucket q steps s as every u in that bucket does, and so as
     its smallest member: 0.0 for q = 0, Theta[q-1] after (module docstring).
     Cumulative weights never decrease along a row, so bisect_right counts the
-    weights <= that member."""
+    weights <= that member, and no row of step decreases: the buckets that
+    step s to one letter are consecutive.  So each step marks the first
+    bucket of every (prefix id, next letter) pair, a cumsum of the marks
+    numbers the pairs in lexicographic order, and a position's new id is
+    one gather at its prefix id and bucket."""
     interior_rows, theta = _thresholds(measure)
     nb = len(theta) + 1
     step = np.array([[bisect_right(row, x) for x in (0.0, *theta)] for row in interior_rows])
+    fresh = np.ones(step.shape, dtype=bool)  # bucket q is the first to step s to its letter
+    fresh[:, 1:] = step[:, 1:] != step[:, :-1]
     if k is None:
         cap = min(_CHUNK_TABLE_MAX, n_walk)
         k = 1
         while k < cap and nb ** (k + 1) <= cap:
             k += 1
-    l = len(step)
-    words = np.empty((l, nb**k, k + 1), dtype=np.intp)
-    state = np.arange(l)[:, None]
-    words[:, :, 0] = state
-    for i in range(1, k + 1):  # step i is the least significant digit of the codes so far
-        state = step[state[:, :, None], np.arange(nb)].reshape(l, -1)
-        words.reshape(l, nb**i, -1, k + 1)[:, :, :, i] = state[:, :, None]
-    return theta, words.reshape(-1, k + 1), (state * nb**k).ravel()
+    ids = np.arange(len(step))  # each position's prefix id: position s*nb**i + code after step i
+    words = ids[:, None]  # the distinct prefixes in id order
+    for _ in range(k):  # each step is the least significant digit of the codes so far
+        seen = fresh[words[:, -1]]
+        child = seen.cumsum().reshape(seen.shape) - 1  # id of (parent, letter) by bucket
+        parent, q = seen.nonzero()
+        words = np.column_stack((words[parent], step[words[parent, -1], q]))
+        ids = child[ids].ravel()
+    return theta, words, ids, words[ids, -1] * nb**k
 
 
 def _walk_block(
-    gens, theta: list[float], words: np.ndarray, last: np.ndarray, cur: np.ndarray, b: int
+    gens, theta: list[float], last: np.ndarray, k: int, cur: np.ndarray, b: int
 ) -> np.ndarray:
     """The walk over the b letters after the letters cur in every lane, as
-    the row of every chunk of k letters in the position-word table words,
-    shape (chunks, lanes); a last partial chunk is padded with bucket 0, and
-    only its first b % k letters belong to the block.
+    the position of every chunk of k letters (:func:`_chunk_tables`), shape
+    (chunks, lanes); a last partial chunk is padded with bucket 0, and only
+    its first b % k letters belong to the block.
 
     Each lane's b uniforms are drawn into a row, padded with zeros (bucket 0)
     to whole chunks of k, and become one bucket code per chunk, kept as
     (chunks, lanes).  The walk takes one gather in last per chunk, where
-    row s*nb**k + code holds the chunk's end letter times nb**k, so there is
-    no loop per letter (one lane walks the same table on Python ints)."""
-    k = words.shape[1] - 1
+    position s*nb**k + code holds the chunk's end letter times nb**k, so
+    there is no loop per letter (one lane walks it on Python ints)."""
     nbk = (len(theta) + 1) ** k
     lanes = len(gens)
     u = np.empty((lanes, -(-b // k) * k))
@@ -214,10 +224,10 @@ def _walk_block(
     return pos
 
 
-def _block_letters(words: np.ndarray, pos: np.ndarray, b: int) -> np.ndarray:
-    """The b letters of a block walked to the rows pos of the position-word
+def _block_letters(words: np.ndarray, ids: np.ndarray, b: int) -> np.ndarray:
+    """The b letters of a block whose chunks walked the words ids of the
     table words, shape (lanes, b): one gather of the chunks' letters."""
-    return np.take(words[:, 1:], pos.T, axis=0).reshape(pos.shape[1], -1)[:, :b]
+    return np.take(words[:, 1:], ids.T, axis=0).reshape(ids.shape[1], -1)[:, :b]
 
 
 def _buckets(u: np.ndarray, theta: list[float], dtype) -> np.ndarray:

@@ -233,8 +233,8 @@ def band_set(p: PeriodicPoint, grid_points: int = 2001, tol: float = 1e-10) -> B
     """
     if grid_points < 64:
         raise ValueError("grid_points must be >= 64")
-    if tol <= 0.0:
-        raise ValueError("tol must be positive")
+    if not 0.0 < tol < math.inf:  # also NaN, which every comparison fails
+        raise ValueError("tol must be positive and finite")
     letters = p.cycle.letters
     trace = _trace_poly(letters)
     f = [0] * (2 * len(trace) - 1)

@@ -132,6 +132,9 @@ BAD_FIELDS = [
     ("bands", "max_period", 0, r"^bands: need"),
     (None, "epsilon", -0.01, r"^epsilon and exclusion_halfwidth must be nonnegative$"),
     (None, "exclusion_halfwidth", -1.0, r"^epsilon and exclusion_halfwidth must be nonnegative$"),
+    # JSON true is a Python int equal to 1, so [true, 1] would forbid (1, 1)
+    ("subshift", "forbidden", [[True, 1]], r"^subshift\.forbidden: expected a list"),
+    ("subshift", "forbidden", [[2, True]], r"^subshift\.forbidden: expected a list"),
 ]
 
 
@@ -141,6 +144,33 @@ def test_load_config_rejects_bad_fields(tmp_path, section, key, value, match):
     (bad if section is None else bad[section])[key] = value
     with pytest.raises(ParseError, match=match):
         load_config(write_config(tmp_path, bad))
+
+
+# every float field, set to a bare NaN, Infinity or -Infinity token, which
+# json.load reads as a float: exit 2 before any computation starts
+@pytest.mark.parametrize("section, key", [("grid", "k_min"), ("grid", "k_max"), ("bands", "tol"),
+                                          (None, "epsilon"), (None, "exclusion_halfwidth")])
+@pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
+def test_non_finite_config_floats_exit_2(tmp_path, capsys, section, key, token):
+    bad = json.loads(json.dumps(GOLDEN_CONFIG))
+    (bad if section is None else bad[section])[key] = float(token)
+    path = write_config(tmp_path, bad)
+    assert f'"{key}": {token}' in (tmp_path / "config.json").read_text()
+    where = "config" if section is None else section
+    with pytest.raises(ParseError, match=rf"^{where}\.{key}: expected a finite float, got "):
+        load_config(path)
+    assert main(["bands", "--config", path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith(f"error: {where}.{key}: expected a finite")
+
+
+@pytest.mark.parametrize("entry", [math.nan, math.inf])
+def test_non_finite_transition_exits_2(tmp_path, capsys, entry):
+    bad = json.loads(json.dumps(GOLDEN_CONFIG))
+    bad["markov"]["transition"][0][0] = entry
+    path = write_config(tmp_path, bad)
+    assert main(["periodic", "--config", path]) == 2
+    assert capsys.readouterr().err == "error: transition probabilities must be finite and nonnegative\n"
 
 
 def test_periodic_table(tmp_path):
@@ -356,6 +386,15 @@ def test_main_output_file_and_json(tmp_path, capsys):
     capsys.readouterr()
     payload = json.loads(out.read_text())
     assert payload["schema"] == "candidates"
+
+
+def test_main_output_into_a_missing_directory_exits_2(tmp_path, capsys):
+    path = write_config(tmp_path, FULL_CONFIG)
+    out = tmp_path / "missing" / "table.csv"
+    assert main(["periodic", "--config", path, "--output", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: ") and str(out) in captured.err
+    assert not out.parent.exists()
 
 
 def test_main_exit_code_config_error(tmp_path, capsys):

@@ -28,7 +28,7 @@ from sftlab import (
     zero_set_scan,
 )
 import sftlab.lyapunov as lyapunov_module
-from sftlab.lyapunov import _block_slots, _mc_rates, _word_slots, _word_steps
+from sftlab.lyapunov import _block_slots, _mc_rates, _word_steps
 from sftlab.measure import _BLOCK, _lane_walk, _thresholds, _walk_size
 
 FULL = validate_spec(2, [])
@@ -205,15 +205,14 @@ def test_block_slots_match_sample_window(name):
             for i in range(n_samples)
         ]
         seeds = [(seed, i) for i in range(n_samples)]
-        first, pos_words, walk = _lane_walk(measure, seeds, n_steps + 1, length)
-        assert pos_words.shape[1] == length + 1
+        first, words, walk = _lane_walk(measure, seeds, n_steps + 1, length)
+        assert words.shape[1] == length + 1
         assert first.tolist() == [w[0] for w in windows]
-        ids, words = _word_slots(pos_words, l)
         step0 = len(words)
         pad = step0 + l * l
         sizes, t0 = [], 0
-        for b, pos in walk:
-            slots = _block_slots(pos, b, pos_words, l, ids, step0, pad)
+        for b, ids in walk:
+            slots = _block_slots(ids, b, words, l, step0, pad)
             bits = len(slots).bit_length() - 1
             rows = [int(format(t, f"0{bits}b")[::-1], 2) for t in range(len(slots))]
             whole = b - b % length
@@ -235,6 +234,22 @@ def test_block_slots_match_sample_window(name):
                 assert len(slots) == block // length
         assert sizes == [block, block, n_steps - 2 * block]
         assert t0 == n_steps
+
+
+@pytest.mark.parametrize("name", list(KERNEL_SHAPES))
+def test_sampler_words_are_the_admissible_words_in_order(name):
+    # at k = L the sampler's word table is exactly the admissible
+    # (L+1)-letter words in lexicographic order, as many as _word_steps
+    # counted (the sum of the entries of A**L), so a chunk's word id is its
+    # slot in the kernel's word table
+    measure, length, _ = KERNEL_SHAPES[name]
+    allowed = measure.spec.allowed
+    words = [(a,) for a in range(len(allowed))]
+    for _ in range(length):  # extending sorted words letter by letter keeps them sorted
+        words = [w + (b,) for w in words for b in range(len(allowed)) if allowed[w[-1]][b]]
+    _, got, _ = _lane_walk(measure, [0], 2, length)
+    assert [tuple(w) for w in got.tolist()] == words
+    assert len(words) == np.linalg.matrix_power(np.array(allowed, dtype=np.int64), length).sum()
 
 
 def test_word_steps_follow_admissible_words():
@@ -296,16 +311,16 @@ def test_mc_rates_match_per_step_product():
 
 def _path_walk(path, length):
     """A stand-in for measure._lane_walk that walks one lane along the given
-    1-based letters in chunks of length letters.  Row c of its
-    position-word table is chunk c's word (the letter before the chunk,
-    then its letters, the last row padded by repeating the last letter), so
-    its positions are the chunk indices, yielded in blocks of
-    length * 2**m letters as the sampler's are."""
+    1-based letters in chunks of length letters.  Word c of its table is
+    chunk c's word (the letter before the chunk, then its letters, the last
+    padded by repeating the last letter), so its word ids are the chunk
+    indices, yielded in blocks of length * 2**m letters as the sampler's
+    are."""
     x = np.array(path) - 1
     block = length << ((_BLOCK // length).bit_length() - 1)
     n_chunks = -(-(len(x) - 1) // length)
     padded = np.concatenate((x, np.full(n_chunks * length + 1 - len(x), x[-1])))
-    pos_words = np.array([padded[c * length : (c + 1) * length + 1] for c in range(n_chunks)])
+    words = np.lib.stride_tricks.sliding_window_view(padded, length + 1)[::length]
 
     def blocks():
         for done in range(1, len(x), block):
@@ -315,7 +330,7 @@ def _path_walk(path, length):
 
     def lane_walk(measure, seeds, n_letters, k):
         assert (len(seeds), n_letters, k) == (1, len(x), length)
-        return x[:1], pos_words, blocks()
+        return x[:1], words, blocks()
 
     return lane_walk
 
@@ -341,10 +356,10 @@ CHOSEN_PATH = [1, 2] * 1000 + [2] + [1, 2] * 2000
 
 
 def test_mc_kernel_on_chosen_paths(monkeypatch):
-    # the kernel walks a hand-built position-word table as it walks the
-    # sampler's: at k = 1.0 it matches the scalar product on the chosen path,
-    # also cut to end in a partial chunk, and at pi/2 on the alternating
-    # path, whose exact rate is ln(2)/2, it matches the c = 0 recursion
+    # the kernel walks a hand-built word table as it walks the sampler's:
+    # at k = 1.0 it matches the scalar product on the chosen path, also cut
+    # to end in a partial chunk, and at pi/2 on the alternating path, whose
+    # exact rate is ln(2)/2, it matches the c = 0 recursion
     length = _word_steps(FULL_UNIFORM)
     for path in (CHOSEN_PATH, CHOSEN_PATH[:-3]):
         monkeypatch.setattr(lyapunov_module, "_lane_walk", _path_walk(path, length))

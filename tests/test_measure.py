@@ -176,17 +176,19 @@ def test_sample_window_matches_contract_reference(make):
 @pytest.mark.parametrize("make", CHUNK_MEASURES)
 def test_chunk_tables_step_at_thresholds(make):
     # sampling never draws u exactly at a threshold or at 0.0, so check the
-    # bucket of those u, and the step its table row takes, against the
-    # contract's inverse CDF directly; then every position-word table
-    # against steps: row s*nb**k + code holds s and the k letters after it
+    # bucket of those u, and the step its position's word takes, against
+    # the contract's inverse CDF directly; then every position against
+    # steps: position s*nb**k + code has the word of s and the k letters
+    # after it, and the words are distinct, each the word of some position
     mu = make()
     cum_rows = np.cumsum(mu.transition, axis=1)
-    theta, steps, last = _chunk_tables(mu, 1)
+    theta, pairs, pair_of, last = _chunk_tables(mu, 1)
     l = len(cum_rows)
-    assert steps.shape[1] == 2
+    assert pairs.shape[1] == 2
     assert theta == sorted({float(c) for c in cum_rows[:, :-1].ravel() if 0.0 < c < 1.0})
     nb = len(theta) + 1
-    assert steps.shape[0] == l * nb
+    assert pair_of.shape == (l * nb,)
+    steps = pairs[pair_of]  # the step of letter s in bucket q, at position s*nb + q
     probes = [0.0, *theta, *np.nextafter(theta, 0.0), *np.nextafter(theta, 1.0)]
     buckets = _buckets(np.array(probes), theta, np.intp)
     for x, q in zip(probes, buckets):
@@ -195,10 +197,12 @@ def test_chunk_tables_step_at_thresholds(make):
             assert steps[s * nb + q, 1] == np.sum(cum_rows[s, :-1] <= x), (x, s)
     explicit = [(1, k) for k in (1, 3, 9) if nb**k <= 4096]  # the given k, whatever n_walk allows
     for n_walk, k_given in [(2, None), (50, None), (5000, None), *explicit]:
-        theta, words, last = _chunk_tables(mu, n_walk, k_given)
+        theta, words, word_of, last = _chunk_tables(mu, n_walk, k_given)
         k = words.shape[1] - 1
         nbk = nb**k
-        assert words.shape == (l * nbk, k + 1)
+        assert word_of.shape == last.shape == (l * nbk,)
+        assert np.array_equal(np.unique(word_of), np.arange(len(words)))
+        assert len({tuple(w) for w in words.tolist()}) == len(words)
         cap = min(256, n_walk)
         if k_given is None:
             assert nbk <= max(nb, cap) and (nb ** (k + 1) > cap or k == cap)
@@ -206,13 +210,14 @@ def test_chunk_tables_step_at_thresholds(make):
             assert k == k_given
         for s in range(l):
             for code in range(nbk):
-                row = words[s * nbk + code]
+                p = s * nbk + code
+                row = words[word_of[p]]
                 assert row[0] == s
                 cur = s
                 for i in range(k):
                     cur = steps[cur * nb + code // nb ** (k - 1 - i) % nb, 1]
                     assert row[i + 1] == cur
-                assert last[s * nbk + code] == cur * nbk
+                assert last[p] == cur * nbk
 
 
 @pytest.mark.parametrize("make", [golden_half, three_markov])
@@ -221,7 +226,7 @@ def test_lane_walk_lanes_match_one_lane_windows(make):
     seeds = [(5, i) for i in range(37)]
     n_letters = 2 * _BLOCK + 37
     first, words, walk = _lane_walk(mu, seeds, n_letters)
-    lanes = np.concatenate([first[:, None], *(_block_letters(words, pos, b) for b, pos in walk)], axis=1)
+    lanes = np.concatenate([first[:, None], *(_block_letters(words, ids, b) for b, ids in walk)], axis=1)
     assert lanes.shape == (37, n_letters)
     for seed, row in zip(seeds, lanes):
         assert tuple((row + 1).tolist()) == sample_window(mu, 0, n_letters - 1, seed).letters
@@ -232,8 +237,8 @@ def test_lane_walk_any_chunk_length_matches_contract(make):
     # the Monte-Carlo kernel walks chunks of its word length, not the
     # sampler's default k: any chunk length walks the contract's letters in
     # blocks of k * 2**m letters (2**m whole chunks, the most within _BLOCK)
-    # and a short last block, and every position's row holds the letter
-    # before its chunk
+    # and a short last block, and every chunk's word starts with the letter
+    # before the chunk
     mu = make()
     seeds = [(9, i) for i in range(5)]
     n_letters = 2 * _BLOCK + 2
@@ -245,10 +250,10 @@ def test_lane_walk_any_chunk_length_matches_contract(make):
         first, words, walk = _lane_walk(mu, seeds, n_letters, k)
         assert words.shape[1] == k + 1
         letters, sizes, t0 = [first[:, None]], [], 1
-        for b, pos in walk:
-            assert pos.shape == (-(-b // k), len(seeds))
-            assert np.array_equal(words[pos, 0], expected[:, t0 - 1 : t0 - 1 + b : k].T)
-            letters.append(_block_letters(words, pos, b))
+        for b, ids in walk:
+            assert ids.shape == (-(-b // k), len(seeds))
+            assert np.array_equal(words[ids, 0], expected[:, t0 - 1 : t0 - 1 + b : k].T)
+            letters.append(_block_letters(words, ids, b))
             sizes.append(b)
             t0 += b
         assert sizes == [block, block, n_letters - 1 - 2 * block]
@@ -264,8 +269,8 @@ def test_lane_walk_memory_per_lane():
     tracemalloc.start()
     try:
         first, words, walk = _lane_walk(mu, [(3, i) for i in range(lanes)], 1 + 2 * _BLOCK)
-        for b, pos in walk:
-            block = _block_letters(words, pos, b)
+        for b, ids in walk:
+            block = _block_letters(words, ids, b)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -121,6 +121,13 @@ def test_band_set_validates_arguments():
         band_set(P12, grid_points=10)
     with pytest.raises(ValueError):
         band_set(P12, tol=0.0)
+    # no bracket width exceeds NaN or inf, so either would end every
+    # bisection at once and return bracket midpoints as edges
+    for tol in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="^tol must be positive and finite$"):
+            band_set(P12, tol=tol)
+        with pytest.raises(ValueError, match="^tol must be positive and finite$"):
+            exceptional_candidates(GOLDEN, 4, tol=tol)
 
 
 def test_every_short_cycle_has_open_gap():
