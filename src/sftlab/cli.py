@@ -109,6 +109,11 @@ def load_config(path: str) -> RunConfig:
 
     markov = _get(raw, "markov", dict, "config")
     transition = _get(markov, "transition", list, "markov")
+    if not all(
+        isinstance(r, list) and len(r) == len(transition[0]) and all(type(x) in (int, float) for x in r)
+        for r in transition
+    ):
+        raise ParseError("markov.transition: expected a list of equal-length rows of numbers")
     measure = stationary_markov(spec, transition)
 
     grid_raw = _get(raw, "grid", dict, "config")

@@ -18,20 +18,19 @@ interior cumulative transition weights strictly inside (0, 1): a weight
 ``<= 0`` is always ``<= u`` and a weight ``>= 1`` never is, since ``u`` lies in
 [0, 1).  So there are only ``nb = len(Theta) + 1`` step maps.  Per call the
 sampler tabulates, for every letter and every code of k buckets, the k
-letters that follow.  Each block of k * 2**m letters, the largest
-power-of-two count of whole chunks within 1024 letters (the last block may
-be shorter), draws every lane's uniforms into a row, turns them into bucket
-codes, and walks the lanes with one table gather per k letters.  The block
-length never changes a letter: each lane reads one stream.  The walk hands
-out the distinct (k+1)-letter words, each the letter before a chunk and
-then its k letters, numbered once in lexicographic order while the tables
-are built, and yields each chunk's word id; how walk positions are
-numbered stays inside this module.  A block's letters are one gather of
-words away (:func:`_block_letters`), and the Monte-Carlo kernel takes the
-ids as its word slots, walking chunks of exactly its word length L.
-Otherwise k is the longest chunk whose table has at most
-``min(256, letters to walk)`` codes (k = 8 with one threshold, as on the
-uniform full shift and on the golden mean with weights 1/2).
+letters that follow, k the chunk length its caller names.  Each block of
+k * 2**m letters, the largest power-of-two count of whole chunks within 1024
+letters (the last block may be shorter), draws every lane's uniforms into a
+row, turns them into bucket codes, and walks the lanes with one table gather
+per k letters.  The block length never changes a letter: each lane reads
+one stream.  The walk hands out the distinct (k+1)-letter words, each the
+letter before a chunk and then its k letters, numbered once in
+lexicographic order while the tables are built, and yields each chunk's
+word id; how walk positions are numbered stays inside this module.  A
+block's letters are one gather of words away (:func:`_block_letters`).  The
+Monte-Carlo kernel takes the ids as its word slots, walking chunks of
+exactly its word length L, and :func:`sample_window` walks single letters
+(k = 1).
 """
 
 from __future__ import annotations
@@ -47,7 +46,6 @@ from .sft import SubshiftSpec, Word
 
 _ROW_TOL = 1e-12
 _BLOCK = 1024
-_CHUNK_TABLE_MAX = 256
 
 
 @dataclass(frozen=True, eq=False)
@@ -100,12 +98,12 @@ def stationary_markov(spec: SubshiftSpec, transition) -> MarkovMeasure:
 
 
 def _lane_walk(
-    measure: MarkovMeasure, seeds, n_letters: int, k: int | None = None
+    measure: MarkovMeasure, seeds, n_letters: int, k: int
 ) -> tuple[np.ndarray, np.ndarray, Iterator[tuple[int, np.ndarray]]]:
     """The contract's walk over n_letters letters per lane (one per seed):
     each lane's 0-based first letter, shape (lanes,); the words of
-    :func:`_chunk_tables` for chunks of k letters (by default its
-    length-capped k), each the letter before a chunk and then the chunk;
+    :func:`_chunk_tables` for chunks of k letters, each the letter before a
+    chunk and then the chunk;
     and an iterator over the blocks after the first letter that yields
     (b, ids), ids the id of every chunk's word, shape (ceil(b / k), lanes).
     Every block but the last has b = k * 2**m letters, the largest
@@ -115,8 +113,7 @@ def _lane_walk(
     gens = [np.random.Generator(np.random.PCG64(np.random.SeedSequence(s))) for s in seeds]
     stationary_cum = np.cumsum(measure.stationary)[:-1].tolist()
     first = np.array([bisect_right(stationary_cum, g.random()) for g in gens], dtype=np.intp)
-    theta, words, word_of, last = _chunk_tables(measure, n_letters - 1, k)
-    k = words.shape[1] - 1
+    theta, words, word_of, last = _chunk_tables(measure, k)
     block = k << ((_BLOCK // k).bit_length() - 1)  # k * 2**m
 
     def blocks(cur):
@@ -141,19 +138,15 @@ def _walk_size(measure: MarkovMeasure, k: int) -> int:
     return measure.spec.alphabet_size * (len(_thresholds(measure)[1]) + 1) ** k
 
 
-def _chunk_tables(
-    measure: MarkovMeasure, n_walk: int, k: int | None = None
-) -> tuple[list[float], np.ndarray, np.ndarray, np.ndarray]:
+def _chunk_tables(measure: MarkovMeasure, k: int) -> tuple[list[float], np.ndarray, np.ndarray, np.ndarray]:
     """The thresholds Theta, sorted; words, the distinct (k+1)-letter words
     of the walk in lexicographic order, shape (n_words, k+1); and for every
     walk position p = s*nb**k + code, the id word_of[p] of the word of the
     letter s and the k letters that follow it when the k uniforms of a
     chunk fall in the buckets of code (base nb = len(Theta) + 1, first step
-    most significant), and last[p], its last letter times nb**k.  k is the
-    given chunk length, or by default the longest chunk with
-    nb**k <= min(_CHUNK_TABLE_MAX, n_walk), at least 1, so a short walk
-    builds a small table.  Every admissible word has positive probability,
-    so words are exactly the admissible (k+1)-letter words.
+    most significant), and last[p], its last letter times nb**k.  Every
+    admissible word has positive probability, so words are exactly the
+    admissible (k+1)-letter words.
 
     A uniform u in bucket q steps s as every u in that bucket does, and so as
     its smallest member: 0.0 for q = 0, Theta[q-1] after (module docstring).
@@ -168,11 +161,6 @@ def _chunk_tables(
     step = np.array([[bisect_right(row, x) for x in (0.0, *theta)] for row in interior_rows])
     fresh = np.ones(step.shape, dtype=bool)  # bucket q is the first to step s to its letter
     fresh[:, 1:] = step[:, 1:] != step[:, :-1]
-    if k is None:
-        cap = min(_CHUNK_TABLE_MAX, n_walk)
-        k = 1
-        while k < cap and nb ** (k + 1) <= cap:
-            k += 1
     ids = np.arange(len(step))  # each position's prefix id: position s*nb**i + code after step i
     words = ids[:, None]  # the distinct prefixes in id order
     for _ in range(k):  # each step is the least significant digit of the codes so far
@@ -243,17 +231,20 @@ def sample_window(measure: MarkovMeasure, first_index: int, last_index: int, see
 
     Deterministic in (measure, indices, seed); see the module docstring for
     the seed-to-stream mapping.  This is the one-lane case of the sampler
-    the Monte-Carlo estimator uses.
+    the Monte-Carlo estimator uses, walking single letters (k = 1).
     """
     if first_index > last_index:
         raise ValueError("first_index must be <= last_index")
-    first, words, walk = _lane_walk(measure, [seed], last_index - first_index + 1)
+    first, words, walk = _lane_walk(measure, [seed], last_index - first_index + 1, 1)
     letters = np.concatenate([first, *(_block_letters(words, pos, b)[0] for b, pos in walk)])
     return Word(tuple((letters + 1).tolist()), first_index)
 
 
 def cylinder_probability(measure: MarkovMeasure, word: Word) -> float:
     """stationary[w_0] * prod transition[w_i][w_{i+1}]; base-index independent."""
+    n = measure.spec.alphabet_size
+    if not all(1 <= a <= n for a in word.letters):
+        raise ValueError(f"letters must lie in 1..{n}, got {word.letters}")
     if len(word.letters) == 0:
         return 1.0
     p = float(measure.stationary[word.letters[0] - 1])

@@ -97,6 +97,8 @@ class PeriodicPoint:
         n = len(letters)
         if n == 0:
             raise ValueError("empty cycle")
+        if min(letters) < 1:
+            raise ValueError(f"cycle {letters}: letters must be >= 1")
         if self.period != n:
             raise ValueError(f"period {self.period} != cycle length {n}")
         if not _is_lyndon(letters):

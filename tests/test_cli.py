@@ -173,6 +173,24 @@ def test_non_finite_transition_exits_2(tmp_path, capsys, entry):
     assert capsys.readouterr().err == "error: transition probabilities must be finite and nonnegative\n"
 
 
+# json.load reads these as dict, bool, str and None; numpy would read true
+# and "0.5" as 1.0 and 0.5, and an object would escape main as a TypeError
+@pytest.mark.parametrize(
+    "transition",
+    [[[{}, 0.5], [1, 0]], [[0.5, 0.5], [True, False]], [["0.5", 0.5], [1, 0]], [[None, 0.5], [1, 0]],
+     [[0.5, 0.5], [1.0]], [[0.5, 0.5], 1.0]],
+)
+def test_non_numeric_transition_exits_2(tmp_path, capsys, transition):
+    bad = json.loads(json.dumps(GOLDEN_CONFIG))
+    bad["markov"]["transition"] = transition
+    path = write_config(tmp_path, bad)
+    with pytest.raises(ParseError, match=r"^markov\.transition: expected a list of equal-length rows of numbers$"):
+        load_config(path)
+    assert main(["periodic", "--config", path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: markov.transition: ")
+
+
 def test_periodic_table(tmp_path):
     config = load_config(write_config(tmp_path, GOLDEN_CONFIG))
     table = run_subcommand("periodic", config)

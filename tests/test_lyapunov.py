@@ -39,8 +39,8 @@ THREE = validate_spec(3, [(2, 2), (3, 1)])
 THREE_MARKOV = stationary_markov(THREE, [[0.2, 0.3, 0.5], [0.6, 0.0, 0.4], [0.0, 0.7, 0.3]])
 FULL4_UNIFORM = stationary_markov(validate_spec(4, []), np.full((4, 4), 0.25))
 FULL25_UNIFORM = stationary_markov(validate_spec(25, []), np.full((25, 25), 0.04))
-# thresholds 0.3 and 0.9: three buckets, so the sampler's own chunk length
-# (5, the longest with at most 256 codes) differs from the word length L = 8
+# thresholds 0.3 and 0.9: three buckets, so the walk in chunks of the word
+# length L = 8 has 2 * 3**8 positions for 512 words
 TWO_THRESHOLDS = stationary_markov(FULL, [[0.3, 0.7], [0.9, 0.1]])
 # near-deterministic: nb = 1 and two words at every length, so only the
 # entry-growth cap ends the word length

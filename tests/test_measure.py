@@ -48,13 +48,13 @@ def three_bench():
 
 
 def two_thresholds():
-    # thresholds 0.3 and 0.9 on two letters: nb = 3, so k = 5 by default
-    # while the Monte-Carlo kernel walks chunks of its word length, 8
+    # thresholds 0.3 and 0.9 on two letters: nb = 3, and the Monte-Carlo
+    # kernel walks chunks of its word length, 8
     return stationary_markov(FULL, [[0.3, 0.7], [0.9, 0.1]])
 
 
 def skewed_three():
-    # six distinct thresholds: nb = 7, k = 2
+    # six distinct thresholds: nb = 7
     spec = validate_spec(3, [])
     return stationary_markov(spec, [[0.1, 0.2, 0.7], [0.45, 0.05, 0.5], [0.3, 0.3, 0.4]])
 
@@ -159,9 +159,7 @@ def test_sample_window_tuple_seed():
 def test_sample_window_matches_contract_reference(make):
     mu = make()
     # lengths 1 (first letter only), 2 (one step), 51 and 54 (one short block)
-    # and 2*_BLOCK + 37 (whole blocks of k * 2**m letters and a short last
-    # one, a partial chunk for k = 3, 5 and 8); a walk of 53 letters is not
-    # whole chunks for any k > 1 these measures get
+    # and 2*_BLOCK + 37 (whole blocks of _BLOCK letters and a short last one)
     for seed in (2024, (7, 3)):
         for length in (1, 2, 51, 54, 2 * _BLOCK + 37):
             assert sample_window(mu, -1, length - 2, seed).letters == contract_window(mu, length, seed)
@@ -169,7 +167,7 @@ def test_sample_window_matches_contract_reference(make):
     # inverse CDF is exercised between every pair of weights
     for seed in [*range(32), *((7, i) for i in range(32))]:
         assert sample_window(mu, 0, 2, seed).letters == contract_window(mu, 3, seed)
-    # k follows from the window length; the letters must not
+    # a window's letters do not depend on its length
     assert sample_window(mu, 0, 4999, 31).letters[:50] == sample_window(mu, 0, 49, 31).letters
 
 
@@ -195,19 +193,13 @@ def test_chunk_tables_step_at_thresholds(make):
         for s in range(l):
             assert steps[s * nb + q, 0] == s
             assert steps[s * nb + q, 1] == np.sum(cum_rows[s, :-1] <= x), (x, s)
-    explicit = [(1, k) for k in (1, 3, 9) if nb**k <= 4096]  # the given k, whatever n_walk allows
-    for n_walk, k_given in [(2, None), (50, None), (5000, None), *explicit]:
-        theta, words, word_of, last = _chunk_tables(mu, n_walk, k_given)
-        k = words.shape[1] - 1
+    for k in [k for k in (1, 3, 9) if nb**k <= 4096]:
+        theta, words, word_of, last = _chunk_tables(mu, k)
         nbk = nb**k
+        assert words.shape[1] == k + 1
         assert word_of.shape == last.shape == (l * nbk,)
         assert np.array_equal(np.unique(word_of), np.arange(len(words)))
         assert len({tuple(w) for w in words.tolist()}) == len(words)
-        cap = min(256, n_walk)
-        if k_given is None:
-            assert nbk <= max(nb, cap) and (nb ** (k + 1) > cap or k == cap)
-        else:
-            assert k == k_given
         for s in range(l):
             for code in range(nbk):
                 p = s * nbk + code
@@ -222,10 +214,12 @@ def test_chunk_tables_step_at_thresholds(make):
 
 @pytest.mark.parametrize("make", [golden_half, three_markov])
 def test_lane_walk_lanes_match_one_lane_windows(make):
+    # the lanes walk chunks of 3 letters in blocks of 768, sample_window
+    # single letters in blocks of _BLOCK: the letters must agree
     mu = make()
     seeds = [(5, i) for i in range(37)]
     n_letters = 2 * _BLOCK + 37
-    first, words, walk = _lane_walk(mu, seeds, n_letters)
+    first, words, walk = _lane_walk(mu, seeds, n_letters, 3)
     lanes = np.concatenate([first[:, None], *(_block_letters(words, ids, b) for b, ids in walk)], axis=1)
     assert lanes.shape == (37, n_letters)
     for seed, row in zip(seeds, lanes):
@@ -234,11 +228,11 @@ def test_lane_walk_lanes_match_one_lane_windows(make):
 
 @pytest.mark.parametrize("make", [golden_half, three_bench, two_thresholds, four_letters])
 def test_lane_walk_any_chunk_length_matches_contract(make):
-    # the Monte-Carlo kernel walks chunks of its word length, not the
-    # sampler's default k: any chunk length walks the contract's letters in
-    # blocks of k * 2**m letters (2**m whole chunks, the most within _BLOCK)
-    # and a short last block, and every chunk's word starts with the letter
-    # before the chunk
+    # the Monte-Carlo kernel walks chunks of its word length and
+    # sample_window single letters: any chunk length walks the contract's
+    # letters in blocks of k * 2**m letters (2**m whole chunks, the most
+    # within _BLOCK) and a short last block, and every chunk's word starts
+    # with the letter before the chunk
     mu = make()
     seeds = [(9, i) for i in range(5)]
     n_letters = 2 * _BLOCK + 2
@@ -261,14 +255,15 @@ def test_lane_walk_any_chunk_length_matches_contract(make):
 
 
 def test_lane_walk_memory_per_lane():
-    # peak traced memory over two blocks at 1000 lanes, with the caller
-    # holding the previous block: a block's uniforms (8 kB per lane), its
-    # buckets and codes, its letters and the previous block's, about 21 kB
+    # peak traced memory over two blocks at 1000 lanes in chunks of 8
+    # letters, the Monte-Carlo kernel's word length on this shift, with the
+    # caller holding the previous block: a block's uniforms (8 kB per lane),
+    # its buckets and codes, its letters and the previous block's, about 21 kB
     mu = full_uniform()
     lanes = 1000
     tracemalloc.start()
     try:
-        first, words, walk = _lane_walk(mu, [(3, i) for i in range(lanes)], 1 + 2 * _BLOCK)
+        first, words, walk = _lane_walk(mu, [(3, i) for i in range(lanes)], 1 + 2 * _BLOCK, 8)
         for b, ids in walk:
             block = _block_letters(words, ids, b)
         peak = tracemalloc.get_traced_memory()[1]
@@ -321,6 +316,13 @@ def test_cylinder_probability_full_uniform():
 def test_cylinder_probability_golden():
     mu = golden_half()
     assert cylinder_probability(mu, Word((2, 1))) == pytest.approx(1.0 / 3.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("letters", [(0, 1), (-1,), (3,), (1, 3)])
+def test_cylinder_probability_rejects_letters_outside_alphabet(letters):
+    # letter 0 would wrap to the last row, 3 would index past it
+    with pytest.raises(ValueError, match=r"^letters must lie in 1\.\.2, got "):
+        cylinder_probability(golden_half(), Word(letters))
 
 
 def test_cylinder_single_letter_is_stationary():

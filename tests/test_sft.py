@@ -395,6 +395,15 @@ def test_windows_reject_empty_and_uncovered_ranges():
         PeriodicPoint.from_letters((1, 2)).window(5, 4)
 
 
+@pytest.mark.parametrize("letters", [(0, 1), (-1, 2), (0,)])
+def test_periodic_point_rejects_letters_below_1(letters):
+    # letter 0 would wrap to the last row of a transition or step table
+    with pytest.raises(ValueError, match=r"letters must be >= 1$"):
+        PeriodicPoint.from_letters(letters)
+    with pytest.raises(ValueError, match=r"letters must be >= 1$"):
+        PeriodicPoint(Word(letters), len(letters))
+
+
 def test_periodic_point_rejects_bad_shapes():
     with pytest.raises(ValueError, match="^empty cycle$"):
         PeriodicPoint(Word(()), 0)
