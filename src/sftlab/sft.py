@@ -222,7 +222,12 @@ def _has_cycle(allowed: list[list[bool]]) -> bool:
 
 
 def is_admissible(spec: SubshiftSpec, word: Word) -> bool:
-    """True iff every consecutive pair of the window is allowed."""
+    """True iff every consecutive pair of the window is allowed.  A letter
+    outside 1..alphabet_size raises ValueError, as in
+    :meth:`SubshiftSpec.allows`, also in a one-letter word."""
+    for a in word.letters:
+        if not 1 <= a <= spec.alphabet_size:
+            raise ValueError(f"letters must lie in 1..{spec.alphabet_size}, got {a}")
     return all(
         spec.allows(word.letters[i], word.letters[i + 1]) for i in range(len(word.letters) - 1)
     )

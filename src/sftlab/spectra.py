@@ -5,9 +5,12 @@ set away from c = cos k = 0 (see :func:`exceptional_candidates`).
 
 Band edges come from the integer trace polynomial, not from a grid: the
 trace of a period-n point is P(c) / W with P of degree n in c = cos k and W
-the product of the letters.  Its gcd with its derivative, a Sturm sequence
-in y = c**2 and dyadic bisection are all evaluated in Python integers, so
-touching bands (closed gaps) are found exactly and no band can be missed.
+the product of the letters.  Its gcd with its derivative and a Sturm
+sequence in y = c**2 are evaluated in Python integers, and each edge is
+refined from a certified float bracket, then the same bisection's last
+steps on exact integer signs, so touching bands (closed gaps) are found
+exactly, no band can be missed and every edge is the float a plain dyadic
+bisection returns.
 """
 
 from __future__ import annotations
@@ -152,22 +155,141 @@ def _acos(m: int, e: int) -> float:
     return 2.0 * math.asin(math.sqrt(((1 << e) - m) / (1 << (e + 1))))
 
 
+# a bound on |_acos(m, e) - acos(m / 2**e)| for 0 <= m / 2**e <= 1, with room
+# to round the difference of two; derived in _refine
+_ACOS_ERR = 2.0**-48
+# levels below an isolating interval's level e at which its root is
+# bracketed: 2**-(e + 64) is 2**-12 of the ulp of any double c >= 2**-e, so
+# rounding the bracket's ends to that grid costs nothing
+_BRACKET_BITS = 64
+
+
+def _float_root(g: list[int], lo: int, hi: int, e: int) -> tuple[float, float] | None:
+    """(y, dy): the root of g in (lo**2 / 4**e, hi**2 / 4**e] in floats and an
+    estimate of its error, or None if a coefficient does not fit in a float
+    or the estimate is not below 1.
+
+    Laguerre's method from the top end, on float coefficients: the roots of
+    g are real (the squares of band edges c), and for a real-rooted
+    polynomial the iterates that step down fall monotonically and cubically
+    to the largest root below the start, the one in the interval.  The loop
+    stops when a step fails to descend or the float sign flips, after at
+    most 64 steps; dy is (|g(y)| + Horner's running error bound) / |g'(y)|,
+    a first-order bound the caller certifies exactly."""
+    try:
+        coeffs = [float(x) for x in reversed(g)]
+    except OverflowError:
+        return None
+    n = len(g) - 1
+    bottom, y = lo * lo / (1 << 2 * e), hi * hi / (1 << 2 * e)
+    up = None
+    for _ in range(64):
+        p = dp = d2 = 0.0
+        for x in coeffs:
+            d2 = d2 * y + dp
+            dp = dp * y + p
+            p = p * y + x
+        if up is None:
+            up = p > 0.0
+        if p == 0.0 or (p > 0.0) != up:
+            break
+        grad = dp / p
+        hess = grad * grad - 2.0 * d2 / p
+        d = grad + math.sqrt(max((n - 1) * (n * hess - grad * grad), 0.0))
+        if not d > 0.0:
+            break
+        y_new = max(y - n / d, bottom)
+        if not y_new < y:
+            break
+        y = y_new
+    p = dp = r = 0.0
+    for x in coeffs:
+        dp = dp * y + p
+        p = p * y + x
+        r = r * y + abs(x)
+    dy = (abs(p) + 2.0 * len(g) * 2.0**-53 * r) / abs(dp) if dp else math.inf
+    return (y, dy) if dy < 1.0 else None
+
+
+def _bracket(g: list[int], lo: int, hi: int, e: int) -> tuple[int, int, int, int] | None:
+    """(a, b, q, s): the root c of g(c**2) in (lo / 2**e, hi / 2**e] lies
+    strictly between a / 2**q and b / 2**q, q = e + _BRACKET_BITS, and s is
+    the sign of g at (b / 2**q)**2, as certified by the exact signs at a and
+    b; s = 0 and a = b = hi << _BRACKET_BITS if c = hi / 2**e.  The bracket
+    is the float root plus and minus its error estimate, clipped to the
+    interval and widened at most twice by 2**16 before giving None."""
+    root = _float_root(g, lo, hi, e)
+    if root is None:
+        return None
+    y, dy = root
+    c = math.sqrt(y)
+    dc = (dy / c if c > 0.0 else math.sqrt(dy)) + math.ulp(c)
+    q = e + _BRACKET_BITS
+    top = hi << _BRACKET_BITS
+    for _ in range(3):
+        num, den = (c + dc).as_integer_ratio()
+        b = min(top, -((-num << q) // den))
+        vb = _value(g, b * b, 2 * q)
+        if vb == 0 and b == top:
+            return b, b, q, 0
+        num, den = (c - dc).as_integer_ratio()
+        a = max(lo << _BRACKET_BITS, (num << q) // den)
+        va = _value(g, a * a, 2 * q)
+        if a < b and ((va > 0 and vb < 0) or (va < 0 and vb > 0)):
+            return a, b, q, vb
+        dc *= 2.0**16
+    return None
+
+
 def _refine(g: list[int], lo: int, hi: int, e: int, tol: float) -> float:
     """k = acos(c) of the one c in (lo / 2**e, hi / 2**e] with g(c**2) = 0,
     to within tol, by bisection on dyadic rationals c >= 0.  Each sign is
     that of _value(g, mid**2, 2 * e), the same integer as _value(h, mid, e)
     for the even h(c) = g(c**2).  The loop ends at the latest when both ends
-    of the bracket round to the same k."""
-    s = _value(g, hi * hi, 2 * e)
+    of the bracket round to the same k.
+
+    The bisection's result depends only on c, the start level e and tol, so
+    most of it is skipped: a certified bracket a / 2**q < c < b / 2**q from
+    :func:`_bracket` (or, without one, the exact sign at hi and the bracket
+    (lo, hi) itself) decides the loop's first levels.
+
+    - Cells.  Up to level q - bit_length(a ^ (b - 1)), a >> (q - level) and
+      (b - 1) >> (q - level) agree, so the bisection's cell there is fixed
+      and c lies strictly inside it: no earlier mid is c.
+    - Stops.  acos has slope <= -1 on [0, 1], so at level E the ends' exact
+      ks differ by at least 2**-E.  _acos rounds (1 - c) / 2 and its square
+      root correctly and asin has slope <= sqrt(2) there, so an asin within
+      13 ulps keeps _acos within (3 + 2 * 13) * 2**-53 of acos, 3 * 2**-53
+      below _ACOS_ERR; twice that covers rounding tol + 2 * _ACOS_ERR and
+      the difference of two ks.  So at every level with
+      2**-E > tol + 2 * _ACOS_ERR the float difference exceeds tol, and no
+      such level can end the loop.
+
+    The loop starts at the last level that is both fixed and no later than
+    one past the last level that cannot stop.  From there it runs as
+    before, taking each mid's sign from the bracket when the mid lies outside
+    (a, b) and from _value otherwise, so every float it returns is the plain
+    bisection's."""
+    a, b, q, s = _bracket(g, lo, hi, e) or (lo, hi, e, _value(g, hi * hi, 2 * e))
     if s == 0:
-        return _acos(hi, e)
+        return _acos(b, q)
+    fixed = q - (a ^ (b - 1)).bit_length()
+    free = -math.frexp(tol + 2.0 * _ACOS_ERR)[1]
+    level = max(e, min(fixed, free + 1))
+    lo, e = a >> (q - level), level
+    hi = lo + 1
     k_lo, k_hi = _acos(lo, e), _acos(hi, e)
     while k_lo - k_hi > tol:
         lo, hi, e = 2 * lo, 2 * hi, e + 1
         mid = lo + 1
-        v = _value(g, mid * mid, 2 * e)
-        if v == 0:
-            return _acos(mid, e)
+        if mid << q <= a << e:
+            v = -s
+        elif mid << q >= b << e:
+            v = s
+        else:
+            v = _value(g, mid * mid, 2 * e)
+            if v == 0:
+                return _acos(mid, e)
         if (v > 0) == (s > 0):
             hi, k_hi = mid, _acos(mid, e)
         else:

@@ -129,6 +129,11 @@ def test_is_admissible():
     assert not is_admissible(GOLDEN, Word((2, 2)))
     assert is_admissible(GOLDEN, Word(()))
     assert is_admissible(FULL, Word((2, 2, 2, 2)))
+    assert is_admissible(GOLDEN, Word((2,)))
+    # a one-letter word has no pair for SubshiftSpec.allows to range-check
+    for letters in ((0,), (5,), (1, 2, 3)):
+        with pytest.raises(ValueError, match=r"^letters must lie in 1\.\.2, got"):
+            is_admissible(GOLDEN, Word(letters))
 
 
 def test_enumerate_full_shift_period_2():

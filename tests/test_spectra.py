@@ -28,11 +28,14 @@ from sftlab import (
 from sftlab import spectra
 from sftlab.spectra import (
     _acos,
+    _bracket,
     _derivative,
     _exact_quo,
+    _float_root,
     _gcd,
     _prem,
     _primitive,
+    _refine,
     _trace_poly,
     _value,
     _variations,
@@ -555,3 +558,134 @@ def test_band_edges_at_zero_and_pi_are_simple():
                 assert intervals[0][0] == 0.0 and intervals[-1][1] == math.pi
                 assert all(lo < hi for lo, hi in intervals)
                 assert all(a[1] < b[0] for a, b in zip(intervals, intervals[1:]))
+
+
+def y_domain_refine(g, lo, hi, e, tol):
+    """Plain bisection on the signs of g(c**2) at dyadic c, one exact
+    evaluation per level: _refine must return the same float."""
+    s = _value(g, hi * hi, 2 * e)
+    if s == 0:
+        return _acos(hi, e)
+    k_lo, k_hi = _acos(lo, e), _acos(hi, e)
+    while k_lo - k_hi > tol:
+        lo, hi, e = 2 * lo, 2 * hi, e + 1
+        mid = lo + 1
+        v = _value(g, mid * mid, 2 * e)
+        if v == 0:
+            return _acos(mid, e)
+        if (v > 0) == (s > 0):
+            hi, k_hi = mid, _acos(mid, e)
+        else:
+            lo, k_lo = mid, _acos(mid, e)
+    return 0.5 * (k_lo + k_hi)
+
+
+# 4.0 is wider than any isolating cell (at most pi / 2 in k): the loop ends
+# at the start level
+REFINE_TOLS = (4.0, 1.0, 1e-6, 1e-10, 1e-13, 1e-300)
+
+
+def refine_inputs(monkeypatch, points):
+    """(g, lo, hi, e) of every edge band_set refines for these points."""
+    out = []
+    with monkeypatch.context() as patch:
+        patch.setattr(spectra, "_refine", lambda g, lo, hi, e, tol: out.append((g, lo, hi, e)) or 0.0)
+        for p in points:
+            band_set(p)
+    return out
+
+
+def test_refine_matches_plain_bisection_on_band_edges(monkeypatch):
+    points = [p for spec, max_period in IDENTITY_SHIFTS[:4] for p in enumerate_periodic_points(spec, max_period)]
+    near_zero = near_half_pi = 0
+    for g, lo, hi, e in refine_inputs(monkeypatch, points):
+        for tol in REFINE_TOLS:
+            k = y_domain_refine(g, lo, hi, e, tol)
+            assert _refine(g, lo, hi, e, tol) == k, (g, lo, hi, e, tol)
+        near_zero += 0.0 < k < 0.3
+        near_half_pi += abs(k - math.pi / 2.0) < 0.03
+    assert near_zero and near_half_pi
+
+
+@pytest.mark.parametrize(
+    "g",
+    [[-1, 3 << 40], [(3 << 40) - 1, -(3 << 40)]],
+    ids=["c^2=2^-40/3", "c^2=1-2^-40/3"],
+)
+def test_refine_matches_plain_bisection_near_zero_and_half_pi(g):
+    # k about pi/2 - 5.5e-7 and 5.5e-7: the float root's relative error and
+    # acos's slope are at their extremes there
+    assert _bracket(g, 0, 1, 0) is not None
+    for tol in REFINE_TOLS:
+        assert _refine(g, 0, 1, 0, tol) == y_domain_refine(g, 0, 1, 0, tol), tol
+
+
+def test_refine_dyadic_root_is_returned_exactly():
+    # 16 y - 9: c = 3/4 is the mid of (1/2, 1] at level 2, where the
+    # bisection ends on an exact zero
+    g = [-9, 16]
+    assert _bracket(g, 1, 2, 1) is not None
+    for tol in REFINE_TOLS[1:]:
+        assert _refine(g, 1, 2, 1, tol) == y_domain_refine(g, 1, 2, 1, tol) == _acos(3, 2)
+    # y - 1: c = 1 closes the interval (0, 1], as at every k = 0 edge
+    g = [-1, 1]
+    assert _bracket(g, 0, 1, 0)[3] == 0
+    for tol in REFINE_TOLS:
+        assert _refine(g, 0, 1, 0, tol) == y_domain_refine(g, 0, 1, 0, tol) == 0.0
+
+
+def test_refine_falls_back_when_coefficients_overflow_floats(monkeypatch):
+    inputs = refine_inputs(monkeypatch, [PeriodicPoint.from_letters((1, 1, 2, 1, 2))])
+    assert len(inputs) == 5  # degree-5 g: five edges in (0, 1]
+    for g, lo, hi, e in inputs:
+        big = [x << 1100 for x in g]
+        assert _float_root(big, lo, hi, e) is None
+        for tol in REFINE_TOLS:
+            assert _refine(big, lo, hi, e, tol) == y_domain_refine(g, lo, hi, e, tol)
+
+
+def test_refine_widens_or_drops_a_wrong_float_root(monkeypatch):
+    g = [-1, 3]  # c = 1 / sqrt(3)
+    y = 1.0 / 3.0
+    for root, certified in [((y * (1.0 + 2.0**-40), 2.0**-60), True), ((0.9, 1e-12), False)]:
+        monkeypatch.setattr(spectra, "_float_root", lambda *_: root)
+        assert (_bracket(g, 0, 1, 0) is not None) == certified
+        for tol in REFINE_TOLS:
+            assert _refine(g, 0, 1, 0, tol) == y_domain_refine(g, 0, 1, 0, tol)
+
+
+def test_refine_makes_few_exact_evaluations(monkeypatch):
+    # a plain bisection makes about 33 exact evaluations and 27 _acos calls
+    # per edge at tol 1e-10 on these shifts; the certified bracket leaves
+    # about 2.7 evaluations (two for the bracket) and the jump about 3 _acos
+    counts = {"edges": 0, "_value": 0, "_acos": 0}
+    refining = [False]
+
+    def counted(name):
+        f = getattr(spectra, name)
+
+        def wrapper(*args):
+            counts[name] += refining[0]
+            return f(*args)
+
+        monkeypatch.setattr(spectra, name, wrapper)
+
+    counted("_value")
+    counted("_acos")
+    refine = spectra._refine
+
+    def counted_refine(*args):
+        counts["edges"] += 1
+        refining[0] = True
+        try:
+            return refine(*args)
+        finally:
+            refining[0] = False
+
+    monkeypatch.setattr(spectra, "_refine", counted_refine)
+    for spec, max_period in IDENTITY_SHIFTS:
+        for p in enumerate_periodic_points(spec, max_period):
+            band_set(p, tol=1e-10)
+    assert counts["edges"] > 1000
+    assert counts["_value"] <= 4 * counts["edges"], counts
+    assert counts["_acos"] <= 4 * counts["edges"], counts
