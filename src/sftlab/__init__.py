@@ -4,33 +4,21 @@ finite type."""
 
 from .cocycle import (
     IDENTITY,
-    INFINITY,
     Mat2,
-    ProjectivePoint,
     ScaledMat2,
     a_matrix,
     canonical_cos,
     cocycle_product,
-    eigendirections,
-    mat_inv,
     mat_mul,
-    mobius,
-    projective,
     scaled_from,
     scaled_mul,
     solve_difference,
-    stable_holonomy,
-    unstable_holonomy,
 )
 from .errors import (
     EmptySubshift,
-    NotInStableSet,
-    NotInUnstableSet,
     NotStochastic,
     NotTransitive,
-    ParabolicOrCentral,
     ParseError,
-    RangeMismatch,
     SftlabError,
     SingularEnergy,
     SupportViolation,
@@ -50,13 +38,11 @@ from .lyapunov import (
 )
 from .measure import MarkovMeasure, cylinder_probability, sample_window, stationary_markov
 from .sft import (
-    MetricValue,
     PeriodicPoint,
     SubshiftSpec,
     Word,
     enumerate_periodic_points,
     is_admissible,
-    metric,
     shift,
     validate_spec,
 )

@@ -1,6 +1,5 @@
 """The SL(2,R) transfer cocycle: single-step matrices, stability-controlled
-products, the projective (Moebius) action, holonomies, eigendirections and
-the equivalent three-term vertex recursion.
+products and the equivalent three-term vertex recursion.
 
 The single-step matrix for the letter pair (prev, cur) = (w_{-1}, w_0) is
 
@@ -18,20 +17,13 @@ cosines (0.0707372016677029 at k = 1.5, 0.07073720166770268 at 2*pi - 1.5).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
 
-from .errors import (
-    NotInStableSet,
-    NotInUnstableSet,
-    ParabolicOrCentral,
-    SingularEnergy,
-)
+from .errors import SingularEnergy
 from .sft import Word
 
 _SIN_TOL = 1e-12
-_DEGENERATE_TOL = 1e-9  # on trace^2 - 4; coarser than band-edge bisection
 
 
 class Mat2(NamedTuple):
@@ -65,13 +57,6 @@ def mat_mul(m: Mat2, n: Mat2) -> Mat2:
         m.a21 * n.a11 + m.a22 * n.a21,
         m.a21 * n.a12 + m.a22 * n.a22,
     )
-
-
-def mat_inv(m: Mat2) -> Mat2:
-    d = m.det()
-    if d == 0.0:
-        raise ZeroDivisionError("singular 2x2 matrix")
-    return Mat2(m.a22 / d, -m.a12 / d, -m.a21 / d, m.a11 / d)
 
 
 class ScaledMat2(NamedTuple):
@@ -174,127 +159,6 @@ def cocycle_product(k: float, word: Word) -> ScaledMat2:
         step = a_matrix(k, word.letter(j - 1), word.letter(j))
         acc = scaled_from(mat_mul(step, acc.mat), acc.log_scale)
     return acc
-
-
-@dataclass(frozen=True)
-class ProjectivePoint:
-    """A direction (xi, 1) on the projective line, or (1, 0) for infinity
-    (value None)."""
-
-    value: complex | None
-
-    @property
-    def is_infinite(self) -> bool:
-        return self.value is None
-
-    def isclose(self, other: "ProjectivePoint", tol: float = 1e-12) -> bool:
-        """Closeness in the chordal metric, so infinity is an ordinary point."""
-        return _chordal(self, other) <= tol
-
-    def __repr__(self):
-        return "ProjectivePoint(inf)" if self.value is None else f"ProjectivePoint({self.value})"
-
-
-INFINITY = ProjectivePoint(None)
-
-
-def projective(value) -> ProjectivePoint:
-    return ProjectivePoint(complex(value))
-
-
-def _chordal(p: ProjectivePoint, q: ProjectivePoint) -> float:
-    if p.is_infinite and q.is_infinite:
-        return 0.0
-    if p.is_infinite or q.is_infinite:
-        z = q.value if p.is_infinite else p.value
-        return 1.0 / math.sqrt(1.0 + abs(z) ** 2)
-    return abs(p.value - q.value) / math.sqrt((1.0 + abs(p.value) ** 2) * (1.0 + abs(q.value) ** 2))
-
-
-def mobius(m: Mat2, xi: ProjectivePoint) -> ProjectivePoint:
-    """(a11 xi + a12) / (a21 xi + a22), total on the projective line."""
-    if xi.is_infinite:
-        if m.a21 == 0.0:
-            return INFINITY
-        return ProjectivePoint(complex(m.a11) / complex(m.a21))
-    num = m.a11 * xi.value + m.a12
-    den = m.a21 * xi.value + m.a22
-    if den == 0:
-        return INFINITY
-    return ProjectivePoint(num / den)
-
-
-def _require_window(w: Word, index: int, who: str):
-    if not w.covers(index):
-        raise ValueError(f"{who} must cover index {index}")
-
-
-def stable_holonomy(k: float, w: Word, w2: Word) -> Mat2:
-    """[A(w2)]^{-1} A(w) for w2 in the local stable set of w (windows agree on
-    indices >= 0).  Constant in n because the cocycle reads only w_{-1}, w_0."""
-    for x, who in ((w, "first window"), (w2, "second window")):
-        _require_window(x, -1, who)
-        _require_window(x, 0, who)
-    hi = min(w.last_index, w2.last_index)
-    for i in range(0, hi + 1):
-        if w.letter(i) != w2.letter(i):
-            raise NotInStableSet(f"windows disagree at index {i} >= 0")
-    return mat_mul(mat_inv(a_matrix(k, w2.letter(-1), w2.letter(0))), a_matrix(k, w.letter(-1), w.letter(0)))
-
-
-def unstable_holonomy(k: float, w: Word, w2: Word) -> Mat2:
-    """Identity, for w2 in the local unstable set of w (agreement on indices
-    <= 0): backward products use only coordinates <= 0, which coincide."""
-    check_energy(k)
-    for x, who in ((w, "first window"), (w2, "second window")):
-        _require_window(x, 0, who)
-    lo = max(w.first_index, w2.first_index)
-    for i in range(lo, 1):
-        if w.letter(i) != w2.letter(i):
-            raise NotInUnstableSet(f"windows disagree at index {i} <= 0")
-    return IDENTITY
-
-
-def eigendirections(m: Mat2) -> tuple[ProjectivePoint, ProjectivePoint]:
-    """The two invariant directions (s, u) of the Moebius action of m.
-
-    For trace^2 < 4 the pair is complex conjugate and s is the one in the
-    upper half-plane.  For trace^2 > 4 both are real; s is the '+' branch of
-    ((a - d) +/- sqrt(trace^2 - 4)) / (2 c), a pure labeling convention.  For
-    a21 = 0 the limit formulas apply: s = infinity, u = a12 / (a22 - a11).
-    Raises ParabolicOrCentral (with the unique direction, or the central flag
-    for +/-Id) when trace^2 = 4 within 1e-9.
-    """
-    a, b, c, d = m.a11, m.a12, m.a21, m.a22
-    tr = a + d
-    disc = tr * tr - 4.0
-    if abs(disc) <= _DEGENERATE_TOL:
-        if c != 0.0:
-            direction = ProjectivePoint(complex((a - d) / (2.0 * c)))
-        elif a != d or b != 0.0:
-            direction = INFINITY
-        else:
-            raise ParabolicOrCentral(
-                f"matrix is {'+' if a > 0 else '-'}Id: every direction is invariant",
-                direction=None,
-                central=True,
-            )
-        raise ParabolicOrCentral(
-            f"trace^2 = 4 within {_DEGENERATE_TOL}: unique invariant direction {direction}",
-            direction=direction,
-            central=False,
-        )
-    if disc > 0.0:
-        r = math.sqrt(disc)
-        if c == 0.0:
-            return INFINITY, ProjectivePoint(complex(b / (d - a)))
-        return (
-            ProjectivePoint(complex((a - d + r) / (2.0 * c))),
-            ProjectivePoint(complex((a - d - r) / (2.0 * c))),
-        )
-    r = math.sqrt(-disc)
-    s = complex(a - d, math.copysign(r, c)) / (2.0 * c)
-    return ProjectivePoint(s), ProjectivePoint(s.conjugate())
 
 
 def solve_difference(k: float, word: Word, u0: float, um1: float) -> list[float]:

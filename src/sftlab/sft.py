@@ -1,5 +1,5 @@
 """Subshift of finite type: alphabet, allowed length-2 transitions, finite
-windows of bi-infinite sequences, periodic points, metric and shift.
+windows of bi-infinite sequences, periodic points and the shift.
 
 Letters are plain integers in 1..alphabet_size.  Bi-infinite sequences are
 never materialized: every consumer works on a finite :class:`Word` window,
@@ -8,11 +8,10 @@ or on the cyclic extension of a :class:`PeriodicPoint`.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Sequence
 
-from .errors import EmptySubshift, NotTransitive, RangeMismatch
+from .errors import EmptySubshift, NotTransitive
 
 
 @dataclass(frozen=True)
@@ -134,15 +133,6 @@ class PeriodicPoint:
         if first > last:
             raise ValueError("empty window requested")
         return Word(tuple(self.letter(i) for i in range(first, last + 1)), first)
-
-
-class MetricValue(NamedTuple):
-    """Distance e^(-N) between two windows; ``window_limited`` marks the case
-    where the windows agree everywhere visible, so only an upper bound on N
-    is known."""
-
-    value: float
-    window_limited: bool
 
 
 def _is_primitive(letters: tuple[int, ...]) -> bool:
@@ -297,22 +287,6 @@ def enumerate_periodic_points(spec: SubshiftSpec, max_period: int) -> list[Perio
         for w in _lyndon_words(spec, max_period)
         if allowed[w[-1] - 1][w[0] - 1]
     ]
-
-
-def metric(w: Word, w2: Word) -> MetricValue:
-    """e^(-N) with N the largest n >= 0 such that the windows agree on all
-    |index| < n.  When they agree on the whole shared symmetric range [-R, R],
-    N is only bounded below by R + 1: the value e^(-(R+1)) is returned with
-    the window-limited flag set."""
-    r1 = min(-w.first_index, w.last_index)
-    r2 = min(-w2.first_index, w2.last_index)
-    if r1 < 0 or r2 < 0:
-        raise RangeMismatch("both windows must cover a symmetric range [-R, R] around 0")
-    r = min(r1, r2)
-    for n in range(r + 1):
-        if w.letter(n) != w2.letter(n) or w.letter(-n) != w2.letter(-n):
-            return MetricValue(math.exp(-float(n)), False)
-    return MetricValue(math.exp(-float(r + 1)), True)
 
 
 def shift(w: Word, steps: int) -> Word:

@@ -1,41 +1,29 @@
-"""Transfer-matrix layer: unimodularity, products, Moebius action,
-holonomies, eigendirections and the three-term recursion, each checked
-against hand algebra or an independent route."""
+"""Transfer-matrix layer: unimodularity, products, the conjugation of
+periodic monodromies along their orbit and the three-term recursion, each
+checked against hand algebra or an independent route."""
 
-import cmath
 import math
 import random
 
 import pytest
 
 from sftlab import (
-    INFINITY,
     Mat2,
-    NotInStableSet,
-    NotInUnstableSet,
-    ParabolicOrCentral,
     PeriodicPoint,
-    ProjectivePoint,
     SingularEnergy,
     Word,
     a_matrix,
     canonical_cos,
     cocycle_product,
-    eigendirections,
     lyapunov_mc,
-    mat_inv,
     mat_mul,
-    mobius,
     monodromy_trace,
-    projective,
     sample_window,
     scaled_from,
     scaled_mul,
     shift,
     solve_difference,
-    stable_holonomy,
     stationary_markov,
-    unstable_holonomy,
     validate_spec,
 )
 from sftlab.cocycle import check_energy
@@ -195,189 +183,26 @@ def test_cocycle_law():
             assert a == pytest.approx(scale * b, abs=1e-8)
 
 
-# ------------------------------------------------------------------ mobius
+# ------------------------------------------------------------- periodic orbits
 
 
-def test_mobius_identity():
-    for xi in (projective(0.3 + 0.4j), projective(-2.0), INFINITY):
-        assert mobius(Mat2(1, 0, 0, 1), xi) == xi
-
-
-def test_mobius_fixed_point_of_constant_matrix():
-    # [[2 cos k, -1], [1, 0]] fixes e^{ik}: 2 cos k - e^{-ik} = e^{ik}
-    for k in (0.4, math.pi / 3, 2.0):
-        m = a_matrix(k, 1, 1)
-        xi = projective(cmath.exp(1j * k))
-        out = mobius(m, xi)
-        assert abs(out.value - xi.value) < 1e-12
-
-
-def test_mobius_rotation_fixes_i():
-    out = mobius(Mat2(0, -1, 1, 0), projective(1j))
-    assert abs(out.value - 1j) < 1e-15
-
-
-def test_mobius_infinity_conventions():
-    m = Mat2(2.0, 1.0, 4.0, 3.0)
-    assert mobius(m, INFINITY).value == pytest.approx(0.5)
-    assert mobius(Mat2(1.0, 1.0, 0.0, 1.0), INFINITY) == INFINITY
-    assert mobius(Mat2(0.0, -1.0, 1.0, 0.0), projective(0.0)) == INFINITY
-
-
-def test_mobius_compatible_with_multiplication():
-    rng = random.Random(13)
-    for _ in range(1000):
-        m = Mat2(*(rng.uniform(-2, 2) for _ in range(4)))
-        n = Mat2(*(rng.uniform(-2, 2) for _ in range(4)))
-        if abs(m.det()) < 1e-3 or abs(n.det()) < 1e-3:
-            continue
-        xi = projective(complex(rng.uniform(-3, 3), rng.uniform(-3, 3)))
-        lhs = mobius(mat_mul(m, n), xi)
-        rhs = mobius(m, mobius(n, xi))
-        assert lhs.isclose(rhs, tol=1e-12)
-
-
-# -------------------------------------------------------------- holonomies
-
-
-def test_stable_holonomy_same_point_is_identity():
-    w = Word((1, 2, 1, 1), -1)
-    h = stable_holonomy(1.0, w, w)
-    for x, y in zip(h, (1.0, 0.0, 0.0, 1.0)):
-        assert x == pytest.approx(y, abs=1e-14)
-
-
-def test_stable_holonomy_differs_at_minus_one():
-    k = math.pi / 3
-    w = Word((1, 1, 2, 1), -1)
-    w2 = Word((2, 1, 2, 1), -1)
-    h = stable_holonomy(k, w, w2)
-    expected = mat_mul(mat_inv(a_matrix(k, 2, 1)), a_matrix(k, 1, 1))
-    assert h == expected
-    assert abs(h.det() - 1.0) < 1e-12
-
-
-def test_stable_holonomy_matches_limit_definition():
-    # [A_n(w2)]^{-1} A_n(w) stabilizes at n0 = 1 because the cocycle reads
-    # only coordinates -1 and 0
-    k = 0.8
-    rng = random.Random(17)
-    tail = random_word(rng, 10, 0)
-    w = Word((1,) + tail.letters, -1)
-    w2 = Word((2,) + tail.letters, -1)
-    h = stable_holonomy(k, w, w2)
-    for n in range(1, 11):
-        a_n = cocycle_product(k, w.window(-1, n - 1)).reconstruct()
-        a_n2 = cocycle_product(k, w2.window(-1, n - 1)).reconstruct()
-        limit = mat_mul(mat_inv(a_n2), a_n)
-        for x, y in zip(h, limit):
-            assert x == pytest.approx(y, abs=1e-8)
-
-
-def test_stable_holonomy_rejects_forward_disagreement():
-    w = Word((1, 1, 2), -1)
-    w2 = Word((1, 2, 2), -1)
-    with pytest.raises(NotInStableSet):
-        stable_holonomy(1.0, w, w2)
-
-
-def test_unstable_holonomy_is_identity():
-    w = Word((1, 2, 1, 1, 2), -3)
-    w2 = Word((1, 2, 1, 1, 1), -3)  # differs only at index 1 > 0
-    assert unstable_holonomy(1.0, w, w2) == Mat2(1.0, 0.0, 0.0, 1.0)
-    assert unstable_holonomy(1.0, w, w) == Mat2(1.0, 0.0, 0.0, 1.0)
-
-
-def test_unstable_holonomy_matches_backward_limit():
-    # backward products A_{-n}(T^n .) read only coordinates <= 0, so the
-    # limit quotient is exactly Id for windows agreeing there
-    k = 1.1
-    w = Word((1, 2, 1, 1, 2), -3)
-    w2 = Word((1, 2, 1, 1, 1), -3)  # differs at index 1
-    for n in (1, 2):
-        # A_{-n}(w) = [A_n(T^{-n} w)]^{-1}, built from coordinates <= 0 only,
-        # so [A_{-n}(w2)]^{-1} A_{-n}(w) = head2 . head^{-1} with head == head2
-        head = cocycle_product(k, shift(w, -n).window(-1, n - 1)).reconstruct()
-        head2 = cocycle_product(k, shift(w2, -n).window(-1, n - 1)).reconstruct()
-        q = mat_mul(head2, mat_inv(head))
-        for x, y in zip(q, (1.0, 0.0, 0.0, 1.0)):
-            assert x == pytest.approx(y, abs=1e-12)
-    with pytest.raises(NotInUnstableSet):
-        unstable_holonomy(k, Word((1, 1), -1), Word((2, 1), -1))
-
-
-# -------------------------------------------------------- eigendirections
-
-
-def test_eigendirections_elliptic_constant_matrix():
-    k = math.pi / 3
-    s, u = eigendirections(a_matrix(k, 1, 1))
-    assert abs(s.value - cmath.exp(1j * k)) < 1e-12
-    assert abs(u.value - cmath.exp(-1j * k)) < 1e-12
-    assert s.value.imag > 0
-
-
-def test_eigendirections_diagonal_matrix():
-    s, u = eigendirections(Mat2(-2.0, 0.0, 0.0, -0.5))
-    assert s == INFINITY
-    assert u.value == 0.0
-
-
-def test_eigendirections_parabolic():
-    with pytest.raises(ParabolicOrCentral) as info:
-        eigendirections(Mat2(1.0, 1.0, 0.0, 1.0))
-    assert info.value.direction == INFINITY
-    assert not info.value.central
-
-
-def test_eigendirections_central():
-    with pytest.raises(ParabolicOrCentral) as info:
-        eigendirections(Mat2(-1.0, 0.0, 0.0, -1.0))
-    assert info.value.central
-
-
-def test_eigendirections_satisfy_fixed_point_equation():
-    # both outputs solve c s^2 + (d - a) s - b = 0 (invariance under the
-    # Moebius action); also pins the meaning of d as the lower-right entry
-    rng = random.Random(29)
-    checked = 0
-    while checked < 200:
-        # random unimodular matrix: pick a, b, c and solve a d - b c = 1
-        a = rng.uniform(-2, 2)
-        b = rng.uniform(-2, 2)
-        c = rng.uniform(-2, 2)
-        if abs(a) < 0.1 or abs(c) < 1e-6:
-            continue
-        m = Mat2(a, b, c, (1.0 + b * c) / a)
-        if abs(m.trace() ** 2 - 4.0) < 1e-3:
-            continue
-        s, u = eigendirections(m)
-        for root in (s.value, u.value):
-            res = m.a21 * root * root + (m.a22 - m.a11) * root - m.a12
-            assert abs(res) < 1e-9
-        checked += 1
-
-
-def test_eigendirections_are_mobius_fixed_points():
-    m = a_matrix(2.0, 1, 2)  # hyperbolic at this energy
-    s, u = eigendirections(m)
-    assert mobius(m, s).isclose(s, tol=1e-10)
-    assert mobius(m, u).isclose(u, tol=1e-10)
-
-
-def test_eigendirection_transport_along_orbit():
-    # A(p) maps the s-direction of the monodromy at p to the s-direction of
-    # the monodromy at Tp (inside a band, where s is the upper one)
-    k = 0.7
-    p = PeriodicPoint.from_letters((1, 1, 2))
-    m0 = cocycle_product(k, p.window(-1, 2)).reconstruct()
-    rotated = shift(p.window(-1, 5), 1)  # windows of Tp
-    m1 = cocycle_product(k, rotated.window(-1, 2)).reconstruct()
-    assert abs(m0.trace()) < 2.0  # elliptic here, conjugate pair
-    s0, _ = eigendirections(m0)
-    s1, _ = eigendirections(m1)
-    step = a_matrix(k, p.letter(-1), p.letter(0))
-    assert mobius(step, s0).isclose(s1, tol=1e-10)
+def test_monodromy_conjugation_along_orbit():
+    # M(p) = A(T^{n-1} p) ... A(p) and T^n p = p give
+    # M(Tp) A(p) = A(p) M(p): one step conjugates the monodromy at p into
+    # the monodromy at Tp
+    for letters in ((1, 2), (1, 1, 2), (1, 2, 1, 2, 2), (1, 3, 2, 2)):
+        p = PeriodicPoint.from_letters(letters)
+        n = p.period
+        rotated = shift(p.window(-1, n), 1)  # a window of Tp over -2..n-1
+        for k in (0.3, 0.7, math.pi / 2, 2.0, 2.9):
+            m_p = cocycle_product(k, p.window(-1, n - 1)).reconstruct()
+            m_tp = cocycle_product(k, rotated.window(-1, n - 1)).reconstruct()
+            step = a_matrix(k, p.letter(-1), p.letter(0))
+            lhs = mat_mul(m_tp, step)
+            rhs = mat_mul(step, m_p)
+            scale = max(abs(x) for x in lhs)
+            for x, y in zip(lhs, rhs):
+                assert x == pytest.approx(y, abs=1e-12 * scale)
 
 
 # --------------------------------------------------------- solve_difference
@@ -424,8 +249,6 @@ def test_matrix_helpers_reject_degenerate_input():
         a_matrix(1.0, 2, -1)
     with pytest.raises(ValueError, match="zero matrix"):
         scaled_from(Mat2(0.0, 0.0, 0.0, 0.0), 1.0)
-    with pytest.raises(ZeroDivisionError, match="singular 2x2 matrix"):
-        mat_inv(Mat2(1.0, 2.0, 2.0, 4.0))
 
 
 def test_products_need_a_window_covering_minus_one():

@@ -1,10 +1,9 @@
 """Subshift layer: spec validation, admissibility, periodic-point
 enumeration (checked against a brute-force necklace oracle and against the
-unpruned Lyndon generator), metric and shift."""
+unpruned Lyndon generator) and the shift."""
 
 import functools
 import itertools
-import math
 import time
 
 import pytest
@@ -13,11 +12,9 @@ from sftlab import (
     EmptySubshift,
     NotTransitive,
     PeriodicPoint,
-    RangeMismatch,
     Word,
     enumerate_periodic_points,
     is_admissible,
-    metric,
     shift,
     validate_spec,
 )
@@ -297,50 +294,6 @@ def test_periodic_window_wraps():
     w = p.window(-1, 4)
     assert w.letters == (2, 1, 1, 2, 1, 1)
     assert w.base_index == -1
-
-
-def test_metric_agree_up_to_three():
-    w = Word((1, 1, 1, 1, 1, 1, 1, 1, 1), -4)
-    w2 = Word((1, 1, 1, 1, 1, 1, 1, 2, 1), -4)  # differ at index 3
-    d = metric(w, w2)
-    assert d.value == pytest.approx(0.049787068367863944, abs=1e-15)
-    assert d.value == math.exp(-3)
-    assert not d.window_limited
-
-
-def test_metric_differ_at_zero():
-    w = Word((1, 1, 1), -1)
-    w2 = Word((1, 2, 1), -1)
-    d = metric(w, w2)
-    assert d.value == 1.0
-    assert not d.window_limited
-
-
-def test_metric_window_limited():
-    w = Word((1, 2, 1, 2, 1, 2, 1, 2, 1, 2, 1), -5)
-    d = metric(w, w)
-    assert d.value == pytest.approx(math.exp(-6), abs=1e-18)
-    assert d.value == pytest.approx(0.0024787521766663585, abs=1e-18)
-    assert d.window_limited
-
-
-def test_metric_symmetry():
-    w = Word((1, 2, 2, 1, 1), -2)
-    w2 = Word((1, 2, 1, 1, 1), -2)
-    assert metric(w, w2) == metric(w2, w)
-
-
-def test_metric_range_mismatch():
-    with pytest.raises(RangeMismatch):
-        metric(Word((1, 2), 1), Word((1, 2), -1))
-
-
-def test_metric_uses_shared_symmetric_range():
-    w = Word((1,) * 11, -5)
-    w2 = Word((1,) * 5, -2)
-    d = metric(w, w2)
-    assert d.value == math.exp(-3)
-    assert d.window_limited
 
 
 def test_shift_relabels():
