@@ -202,7 +202,8 @@ def _block_slots(
     whole block of the walk is 2**m whole chunks, so it fills P = 2**m slots
     with words alone; only a short last block has leftover steps or
     padding.  Time t is stored at row bitrev(t), so that the later half of
-    every level of :func:`_tree_product` is its upper half."""
+    every level of :func:`_tree_product` is its upper half (time order with
+    strided pairing gives the same bits but is slower; see there)."""
     whole, r = divmod(b, words.shape[1] - 1)
     n = whole + r
     rev = _bit_reversal(1 << (n - 1).bit_length())
@@ -227,7 +228,14 @@ def _tree_product(mats: np.ndarray, logs: np.ndarray) -> np.ndarray:
     Entries stay in range: below the first renormalization they are bounded
     as in :func:`_word_steps`; after it a slot has max entry 1 and row sums at
     most 2, so _RENORM_LEVELS further levels give row sums at most 2**8, and
-    the root, renormalized by :func:`_advance`, no more."""
+    the root, renormalized by :func:`_advance`, no more.
+
+    Slots in time order, paired odd onto even on strided views
+    (``mats[:, 1::2]`` onto ``mats[:, ::2]``), give the same bits but run
+    slower: on a 2-core Xeon the tree took 1.13-1.28 ms against 0.73-0.88 ms
+    at shape (4, 64, 10, 101), and :func:`_mc_rates` at the mc_scan shape
+    (golden mean, 101 energies, 100 samples of 1e4 steps) 0.24 s against
+    0.17-0.20 s."""
     level = 0
     while mats.shape[1] > 1:
         h = mats.shape[1] // 2

@@ -19,8 +19,9 @@ class SubshiftSpec:
     """Alphabet size and the boolean matrix of allowed length-2 words.
 
     ``allowed[i][j]`` is True iff the word (i+1, j+1) may occur.  Instances
-    are built through :func:`validate_spec`, which checks non-emptiness and
-    strong connectivity of the transition graph.
+    are built through :func:`validate_spec`, whose one transitive closure
+    checks that the transition graph has a cycle (the shift is non-empty)
+    and is strongly connected (the shift is transitive).
     """
 
     alphabet_size: int
@@ -166,9 +167,12 @@ def _is_lyndon(letters: tuple[int, ...]) -> bool:
 def validate_spec(alphabet_size: int, forbidden_pairs: Iterable[tuple[int, int]]) -> SubshiftSpec:
     """Build a spec from the complement of the forbidden length-2 words.
 
-    Raises EmptySubshift when the transition graph has no directed cycle
-    (no bi-infinite sequence exists) and NotTransitive when the graph on
-    the full alphabet is not strongly connected.
+    One Warshall transitive closure on per-letter successor bitsets gives
+    every letter's reach in >= 1 steps.  Raises EmptySubshift when no letter
+    reaches itself (no directed cycle, so no bi-infinite sequence exists)
+    and otherwise NotTransitive when some letter does not reach the whole
+    alphabet, which for alphabet_size >= 2 is exactly a transition graph
+    that is not strongly connected.
     """
     if alphabet_size < 2:
         raise ValueError("alphabet_size must be at least 2")
@@ -179,36 +183,18 @@ def validate_spec(alphabet_size: int, forbidden_pairs: Iterable[tuple[int, int]]
             raise ValueError(f"forbidden pair {pair!r} outside alphabet 1..{alphabet_size}")
         allowed[i - 1][j - 1] = False
 
-    if not _has_cycle(allowed):
+    # Warshall: after pass u, reach[v] has bit w iff letter w+1 is reachable
+    # from v+1 in >= 1 steps whose intermediate letters all lie in 1..u+1
+    reach = [sum(1 << w for w, ok in enumerate(row) if ok) for row in allowed]
+    for u in range(alphabet_size):
+        for v, r in enumerate(reach):
+            if r >> u & 1:
+                reach[v] = r | reach[u]
+    if not any(r >> v & 1 for v, r in enumerate(reach)):
         raise EmptySubshift("no directed cycle in the transition graph: the subshift is empty")
-    if not _strongly_connected(allowed):
+    if any(r != (1 << alphabet_size) - 1 for r in reach):
         raise NotTransitive("transition graph on the alphabet is not strongly connected")
     return SubshiftSpec(alphabet_size, tuple(tuple(row) for row in allowed))
-
-
-def _reachable(allowed: list[list[bool]], start: int, transpose: bool) -> set[int]:
-    n = len(allowed)
-    seen = {start}
-    stack = [start]
-    while stack:
-        v = stack.pop()
-        for w in range(n):
-            edge = allowed[w][v] if transpose else allowed[v][w]
-            if edge and w not in seen:
-                seen.add(w)
-                stack.append(w)
-    return seen
-
-
-def _strongly_connected(allowed: list[list[bool]]) -> bool:
-    n = len(allowed)
-    return len(_reachable(allowed, 0, False)) == n and len(_reachable(allowed, 0, True)) == n
-
-
-def _has_cycle(allowed: list[list[bool]]) -> bool:
-    """True iff some letter can reach itself in >= 1 steps."""
-    n = len(allowed)
-    return any(v in _reachable(allowed, w, False) for v in range(n) for w in range(n) if allowed[v][w])
 
 
 def is_admissible(spec: SubshiftSpec, word: Word) -> bool:
@@ -218,9 +204,8 @@ def is_admissible(spec: SubshiftSpec, word: Word) -> bool:
     for a in word.letters:
         if not 1 <= a <= spec.alphabet_size:
             raise ValueError(f"letters must lie in 1..{spec.alphabet_size}, got {a}")
-    return all(
-        spec.allows(word.letters[i], word.letters[i + 1]) for i in range(len(word.letters) - 1)
-    )
+    allowed = spec.allowed
+    return all(allowed[a - 1][b - 1] for a, b in zip(word.letters, word.letters[1:]))
 
 
 def _lyndon_words(spec: SubshiftSpec, max_length: int) -> list[tuple[int, ...]]:

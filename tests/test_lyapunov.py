@@ -141,6 +141,19 @@ def test_mc_cancellation_at_half_pi():
     assert abs(est.value) < max(2e-3, 3.0 * est.stderr) + 2e-3
 
 
+def test_mc_half_pi_reads_the_null_model():
+    # companion to acceptance criterion 6: on the uniform full shift the
+    # letters are iid, so at pi/2 the sample's log is +-S_n + O(1) with S_n a
+    # sum of n iid steps of spread sigma = ln 2 / 2, and a true zero reads
+    # E|sigma Z| / sqrt(n) = sigma * sqrt(2 / (pi n)), not 0
+    n = 100_000
+    est = lyapunov_mc(FULL_UNIFORM, math.pi / 2, n, 100, 20260811)
+    predicted = math.log(2) / 2 * math.sqrt(2 / (math.pi * n))
+    assert predicted == pytest.approx(8.7445e-4, rel=1e-4)
+    assert abs(est.value - predicted) < 3.0 * est.stderr
+    assert est.value > 10.0 * est.stderr
+
+
 def test_mc_nonnegative():
     for k in (0.1, 1.0, 2.0):
         est = lyapunov_mc(FULL_UNIFORM, k, 2000, 8, 3)

@@ -1,9 +1,11 @@
-"""Subshift layer: spec validation, admissibility, periodic-point
+"""Subshift layer: spec validation (checked against a brute-force
+reachability reference on random graphs), admissibility, periodic-point
 enumeration (checked against a brute-force necklace oracle and against the
 unpruned Lyndon generator) and the shift."""
 
 import functools
 import itertools
+import random
 import time
 
 import pytest
@@ -102,14 +104,77 @@ def test_validate_spec_rejects_two_disconnected_loops():
 
 def test_validate_spec_rejects_empty_subshift():
     # only 1 -> 2 remains: no directed cycle, hence no bi-infinite sequence
-    with pytest.raises(EmptySubshift):
+    with pytest.raises(EmptySubshift, match=r"^no directed cycle in the transition graph: the subshift is empty$"):
         validate_spec(2, [(1, 1), (2, 1), (2, 2)])
     # only the path 1 -> 2 -> 3
     with pytest.raises(EmptySubshift):
         validate_spec(3, [(i, j) for i in (1, 2, 3) for j in (1, 2, 3) if (i, j) not in ((1, 2), (2, 3))])
     # a loop at 1 and the edge 1 -> 2: a cycle, but 1 is unreachable from 2
-    with pytest.raises(NotTransitive):
+    with pytest.raises(NotTransitive, match=r"^transition graph on the alphabet is not strongly connected$"):
         validate_spec(2, [(2, 1), (2, 2)])
+
+
+def _reference_reach(allowed, start, transpose):
+    """Letters reachable from start in >= 0 steps, by depth-first search."""
+    n = len(allowed)
+    seen, stack = {start}, [start]
+    while stack:
+        v = stack.pop()
+        for w in range(n):
+            if (allowed[w][v] if transpose else allowed[v][w]) and w not in seen:
+                seen.add(w)
+                stack.append(w)
+    return seen
+
+
+def _reference_verdict(n, forbidden):
+    """Brute-force reference for validate_spec: a cycle iff some allowed pair
+    (v, w) has v reachable from w; strongly connected iff the forward and
+    backward reach of letter 1 both cover the alphabet."""
+    allowed = [[(i, j) not in forbidden for j in range(1, n + 1)] for i in range(1, n + 1)]
+    if not any(v in _reference_reach(allowed, w, False) for v in range(n) for w in range(n) if allowed[v][w]):
+        return EmptySubshift
+    if len(_reference_reach(allowed, 0, False)) < n or len(_reference_reach(allowed, 0, True)) < n:
+        return NotTransitive
+    return tuple(tuple(row) for row in allowed)
+
+
+def _verdict(n, forbidden):
+    try:
+        return validate_spec(n, forbidden).allowed
+    except (EmptySubshift, NotTransitive) as exc:
+        return type(exc)
+
+
+def test_validate_spec_matches_reference_on_random_graphs():
+    rng = random.Random(20260811)
+    verdicts = set()
+    for _ in range(2000):
+        n = rng.randint(2, 7)
+        density = rng.random()
+        forbidden = {(i, j) for i in range(1, n + 1) for j in range(1, n + 1) if rng.random() < density}
+        verdict = _verdict(n, sorted(forbidden))
+        assert verdict == _reference_verdict(n, forbidden), (n, sorted(forbidden))
+        verdicts.add(verdict if isinstance(verdict, type) else tuple)
+    assert verdicts == {EmptySubshift, NotTransitive, tuple}
+
+
+def test_validate_spec_rejects_large_acyclic_spec_quickly():
+    # only the ~20,000 pairs (i, j) with i < j remain: a reachability search
+    # per allowed pair takes seconds, one transitive closure milliseconds
+    n = 200
+    forbidden = [(i, j) for i in range(1, n + 1) for j in range(1, i + 1)]
+    start = time.perf_counter()
+    with pytest.raises(EmptySubshift):
+        validate_spec(n, forbidden)
+    assert time.perf_counter() - start < 1.0
+
+
+def test_validate_spec_accepts_large_ring():
+    n = 200
+    spec = validate_spec(n, [(i, j) for i in range(1, n + 1) for j in range(1, n + 1) if j != i % n + 1])
+    assert sum(map(sum, spec.allowed)) == n
+    assert all(spec.allows(i, i % n + 1) for i in spec.letters)
 
 
 def test_validate_spec_rejects_bad_input():
