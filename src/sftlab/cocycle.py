@@ -174,9 +174,8 @@ def solve_difference(k: float, word: Word, u0: float, um1: float) -> list[float]
     if n < 0 or word.first_index > -1:
         raise ValueError("word must cover index -1")
     c = canonical_cos(k)
+    ws = word.letters[-1 - word.base_index :]  # w_{-1}, w_0, ..., w_{n-1}
     values = [um1, u0]
-    for m in range(n):
-        wm = word.letter(m)
-        wm1 = word.letter(m - 1)
+    for wm1, wm in zip(ws, ws[1:]):
         values.append(((wm + wm1) * c * values[-1] - wm1 * values[-2]) / wm)
     return values

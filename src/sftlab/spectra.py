@@ -334,9 +334,12 @@ def band_set(p: PeriodicPoint, grid_points: int = 2001, tol: float = 1e-10) -> B
     D = diag(1, -1), so P(-c) = (-1)**n P(c).  The double roots of F, the
     roots of gcd(F, F'), are touching bands (closed gaps) and stay inside
     one interval; the band edges are the roots of H = F / gcd(F, F')**2,
-    where F changes sign.  H is even too, H(c) = G(c**2) with G = H[::2] of
-    degree <= n, so the edges in (0, 1] are isolated and refined through G in
-    y = c**2 (:func:`_edges_above_zero`) and mirrored to k -> pi - k.  The
+    where F changes sign.  Any common factor of F and P divides 4 W**2, a
+    constant, so gcd(F, F') = gcd(F, 2 P P') = gcd(F, P') up to sign, and
+    the gcd is taken with P', of half the degree of F'; H does not see the
+    sign.  H is even too, H(c) = G(c**2) with G = H[::2] of degree <= n, so
+    the edges in (0, 1] are isolated and refined through G in y = c**2
+    (:func:`_edges_above_zero`) and mirrored to k -> pi - k.  The
     gcd stays in c: F(0) = 0 where bands touch at pi/2, and that double
     root of F in c would be a simple root of F(sqrt(y)) at y = 0.
     Everything up to the final acos is integer arithmetic, so bands merge
@@ -364,7 +367,7 @@ def band_set(p: PeriodicPoint, grid_points: int = 2001, tol: float = 1e-10) -> B
         for j, y in enumerate(trace):
             f[i + j] += x * y
     f[0] -= 4 * math.prod(letters) ** 2
-    g = _gcd(f, _derivative(f))
+    g = _gcd(f, _derivative(trace))
     h = _exact_quo(_exact_quo(f, g), g)
 
     ks = _edges_above_zero(h[::2], tol)

@@ -527,12 +527,33 @@ PARSER_ARGVS = [
     ["verify-graph", "--config", "c", "--k", "-1.5", "--seed", "7"],
     ["verify-graph", "--config", "c", "--k", "1", "--seed", "1.5"],
     *[[name, "--help"] for name in cli.SUBCOMMANDS],
+    # refused by the subcommand's own parser, so reported by the whole CLI
+    ["periodic", "--config", "c", "extra"],
+    ["verify-graph", "--config", "c", "--k", "1", "--", "x"],
+    ["verify-graph", "--config", "c", "--k", "x", "-h"],
+    ["kalinin", "--config", "c", "--k", "0.5", "--max-period", "-"],
+    ["verify-graph", "--config", "c", "--k", "1", "--"],
+    # help from it, or a clean parse
+    ["verify-graph", "-h", "--config", "c", "--k", "x"],
+    ["periodic", "--config", "a", "--config", "b"],
+    ["bands", "--config=c", "--max-p", "3"],
 ]
 
 
 @pytest.mark.parametrize("argv", PARSER_ARGVS, ids=" ".join)
 def test_parser_of_one_subcommand_matches_the_whole_cli(capsys, argv):
-    # main builds arguments only for the subcommand argv names; the result,
-    # usage, help and messages are those of the parser with every subcommand
+    # _parse_args parses a subcommand's argv with that subcommand's parser
+    # alone; the result, usage, help and messages are those of the whole CLI
     whole = outcome(capsys, cli._build_parser().parse_args, argv)
     assert outcome(capsys, cli._parse_args, argv) == whole
+
+
+def test_a_clean_subcommand_argv_does_not_build_the_whole_cli(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("built the whole CLI parser")
+
+    monkeypatch.setattr(cli, "_build_parser", refuse)
+    args = cli._parse_args(["verify-graph", "--config", "c", "--k", "1.5", "--seed", "7"])
+    assert vars(args) == {
+        "subcommand": "verify-graph", "config": "c", "json": False, "output": None, "k": 1.5, "seed": 7,
+    }

@@ -398,6 +398,18 @@ def test_mc_kernel_keeps_the_small_direction_at_half_pi(monkeypatch):
     assert rate == pytest.approx(_half_pi_rate(CHOSEN_PATH), rel=0, abs=1e-12)
 
 
+STICKY_ALTERNATION = stationary_markov(FULL, [[1e-3, 0.999], [0.999, 1e-3]])
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 2: the MC product loses its small direction at pi/2")
+def test_mc_rates_at_half_pi_are_nonnegative_on_a_sticky_random_path():
+    # at pi/2 each sample's exact rate is |S_n| / n >= 0 (ROADMAP item 9); on
+    # the sticky alternation the walk drifts far enough that the running
+    # product loses its small direction, and 11 of these 20 rates read < 0
+    rates = _mc_rates(STICKY_ALTERNATION, [math.pi / 2], 100_000, 20, 1)
+    assert np.all(np.isfinite(rates)) and np.all(rates >= 0.0)
+
+
 def _record_gathered(monkeypatch, record):
     """Pass every gathered block array of _mc_rates, shape (4, P, lanes, n_k),
     to record before its tree product."""

@@ -458,11 +458,26 @@ def floquet_poly(letters):
 
 
 def edge_poly(letters):
-    """H = F / gcd(F, F')**2 with F = P**2 - 4 W**2, built as band_set
-    builds it."""
+    """H = F / gcd(F, F')**2 with F = P**2 - 4 W**2; band_set takes the gcd
+    with P' instead, which agrees up to sign
+    (test_gcd_with_p_prime_matches_gcd_with_f_prime)."""
     f = floquet_poly(letters)
     g = _gcd(f, _derivative(f))
     return _exact_quo(_exact_quo(f, g), g)
+
+
+def test_gcd_with_p_prime_matches_gcd_with_f_prime():
+    # F = P**2 - 4 W**2 with W constant gives gcd(F, P) = 1, so
+    # gcd(F, F') = gcd(F, 2 P P') = gcd(F, P') up to sign; band_set takes
+    # the latter, of half the degree, and H = F / gcd**2 does not see the sign
+    shifts = [(FULL, 10), (GOLDEN, 13), (THREE, 8), (validate_spec(3, []), 6)]
+    points = [p for spec, max_period in shifts for p in enumerate_periodic_points(spec, max_period)]
+    assert len(points) == 702
+    for p in points:
+        f = floquet_poly(p.cycle.letters)
+        via_f = _gcd(f, _derivative(f))
+        via_p = _gcd(f, _derivative(_trace_poly(p.cycle.letters)))
+        assert via_p in (via_f, [-x for x in via_f]), p.cycle.letters
 
 
 def c_domain_refine(h, lo, hi, e, tol):
