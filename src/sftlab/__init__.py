@@ -36,13 +36,12 @@ from .lyapunov import (
     lyapunov_periodic,
     zero_set_scan,
 )
-from .measure import MarkovMeasure, cylinder_probability, sample_window, stationary_markov
+from .measure import MarkovMeasure, sample_window, stationary_markov
 from .sft import (
     PeriodicPoint,
     SubshiftSpec,
     Word,
     enumerate_periodic_points,
-    is_admissible,
     shift,
     validate_spec,
 )
@@ -51,7 +50,6 @@ from .spectra import (
     band_set,
     exceptional_candidates,
     gaps,
-    h_tilde_bands,
     intersect,
     monodromy_trace,
 )

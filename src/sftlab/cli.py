@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cocycle import solve_difference
-from .errors import ParseError, SftlabError, SingularEnergy, UnknownSubcommand
+from .errors import NotStochastic, ParseError, SftlabError, SingularEnergy, UnknownSubcommand
 from .graph_model import VertexData, kirchhoff_residual
 from .lyapunov import McParams, kalinin_profile, lyapunov_mc_grid, zero_set_scan
 from .measure import MarkovMeasure, sample_window, stationary_markov
@@ -102,10 +102,6 @@ def load_config(path: str) -> RunConfig:
         isinstance(p, list) and len(p) == 2 and all(type(x) is int for x in p) for p in forbidden
     ):
         raise ParseError("subshift.forbidden: expected a list of [i, j] letter pairs")
-    try:
-        spec = validate_spec(alphabet_size, [tuple(p) for p in forbidden])
-    except ValueError as exc:
-        raise ParseError(f"subshift: {exc}") from exc
 
     markov = _get(raw, "markov", dict, "config")
     transition = _get(markov, "transition", list, "markov")
@@ -114,6 +110,15 @@ def load_config(path: str) -> RunConfig:
         for r in transition
     ):
         raise ParseError("markov.transition: expected a list of equal-length rows of numbers")
+    # the spec takes time and memory quadratic in alphabet_size, so a
+    # transition too small for it is refused first, as stationary_markov would
+    if len(transition) < alphabet_size or any(len(r) < alphabet_size for r in transition):
+        size = f"{alphabet_size}x{alphabet_size}"
+        raise NotStochastic(f"transition matrix must be {size}, got shape {np.shape(transition)}")
+    try:
+        spec = validate_spec(alphabet_size, [tuple(p) for p in forbidden])
+    except ValueError as exc:
+        raise ParseError(f"subshift: {exc}") from exc
     measure = stationary_markov(spec, transition)
 
     grid_raw = _get(raw, "grid", dict, "config")

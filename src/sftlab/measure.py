@@ -242,15 +242,3 @@ def sample_window(measure: MarkovMeasure, first_index: int, last_index: int, see
     letters = np.concatenate([first, *(_block_letters(words, pos, b)[0] for b, pos in walk)])
     return Word(tuple((letters + 1).tolist()), first_index)
 
-
-def cylinder_probability(measure: MarkovMeasure, word: Word) -> float:
-    """stationary[w_0] * prod transition[w_i][w_{i+1}]; base-index independent."""
-    n = measure.spec.alphabet_size
-    if not all(1 <= a <= n for a in word.letters):
-        raise ValueError(f"letters must lie in 1..{n}, got {word.letters}")
-    if len(word.letters) == 0:
-        return 1.0
-    p = float(measure.stationary[word.letters[0] - 1])
-    for a, b in zip(word.letters, word.letters[1:]):
-        p *= float(measure.transition[a - 1, b - 1])
-    return p

@@ -197,17 +197,6 @@ def validate_spec(alphabet_size: int, forbidden_pairs: Iterable[tuple[int, int]]
     return SubshiftSpec(alphabet_size, tuple(tuple(row) for row in allowed))
 
 
-def is_admissible(spec: SubshiftSpec, word: Word) -> bool:
-    """True iff every consecutive pair of the window is allowed.  A letter
-    outside 1..alphabet_size raises ValueError, as in
-    :meth:`SubshiftSpec.allows`, also in a one-letter word."""
-    for a in word.letters:
-        if not 1 <= a <= spec.alphabet_size:
-            raise ValueError(f"letters must lie in 1..{spec.alphabet_size}, got {a}")
-    allowed = spec.allowed
-    return all(allowed[a - 1][b - 1] for a, b in zip(word.letters, word.letters[1:]))
-
-
 def _lyndon_words(spec: SubshiftSpec, max_length: int) -> list[tuple[int, ...]]:
     """Every Lyndon word of length <= max_length whose consecutive pairs are
     all allowed, in order of length and lexicographically within a length.

@@ -30,9 +30,6 @@ class BandSet:
     intervals: tuple[tuple[float, float], ...]
     tol: float
 
-    def total_length(self) -> float:
-        return sum(hi - lo for lo, hi in self.intervals)
-
     def contains(self, k: float, slack: float = 0.0) -> bool:
         return any(lo - slack <= k <= hi + slack for lo, hi in self.intervals)
 
@@ -105,13 +102,15 @@ def _prem(a: list[int], b: list[int]) -> list[int]:
     return r
 
 
-def _gcd(a: list[int], b: list[int]) -> list[int]:
-    """Primitive greatest common divisor (primitive remainder sequence)."""
-    while b:
-        a, b = b, _prem(a, b)
-        if b:
-            b = _primitive(b)
-    return _primitive(a)
+def _remainders(a: list[int], b: list[int]) -> list[list[int]]:
+    """a, b and the negated primitive pseudo-remainders that follow them,
+    up to the last nonzero one.  For a square-free a and b = a' this is a
+    Sturm sequence of a; in general its last member is gcd(a, b) up to sign
+    and content."""
+    seq = [a, b]
+    while seq[-1]:
+        seq.append([-x for x in _primitive(_prem(seq[-2], seq[-1]))])
+    return seq[:-1]
 
 
 def _exact_quo(a: list[int], b: list[int]) -> list[int]:
@@ -217,7 +216,7 @@ def _bracket(g: list[int], lo: int, hi: int, e: int) -> tuple[int, int, int, int
     the sign of g at (b / 2**q)**2, as certified by the exact signs at a and
     b; s = 0 and a = b = hi << _BRACKET_BITS if c = hi / 2**e.  The bracket
     is the float root plus and minus its error estimate, clipped to the
-    interval and widened at most twice by 2**16 before giving None."""
+    interval, or None if the exact signs do not certify it."""
     root = _float_root(g, lo, hi, e)
     if root is None:
         return None
@@ -226,18 +225,16 @@ def _bracket(g: list[int], lo: int, hi: int, e: int) -> tuple[int, int, int, int
     dc = (dy / c if c > 0.0 else math.sqrt(dy)) + math.ulp(c)
     q = e + _BRACKET_BITS
     top = hi << _BRACKET_BITS
-    for _ in range(3):
-        num, den = (c + dc).as_integer_ratio()
-        b = min(top, -((-num << q) // den))
-        vb = _value(g, b * b, 2 * q)
-        if vb == 0 and b == top:
-            return b, b, q, 0
-        num, den = (c - dc).as_integer_ratio()
-        a = max(lo << _BRACKET_BITS, (num << q) // den)
-        va = _value(g, a * a, 2 * q)
-        if a < b and ((va > 0 and vb < 0) or (va < 0 and vb > 0)):
-            return a, b, q, vb
-        dc *= 2.0**16
+    num, den = (c + dc).as_integer_ratio()
+    b = min(top, -((-num << q) // den))
+    vb = _value(g, b * b, 2 * q)
+    if vb == 0 and b == top:
+        return b, b, q, 0
+    num, den = (c - dc).as_integer_ratio()
+    a = max(lo << _BRACKET_BITS, (num << q) // den)
+    va = _value(g, a * a, 2 * q)
+    if a < b and ((va > 0 and vb < 0) or (va < 0 and vb > 0)):
+        return a, b, q, vb
     return None
 
 
@@ -305,9 +302,7 @@ def _edges_above_zero(g: list[int], tol: float) -> list[float]:
     (lo**2 / 4**e, hi**2 / 4**e]: at most n + 1 polynomials of degree
     <= n = deg g instead of 2n + 1 of degree <= 2n.  Then they are refined
     one by one."""
-    chain = [g, _derivative(g)]
-    while len(chain[-1]) > 1:
-        chain.append([-x for x in _primitive(_prem(chain[-2], chain[-1]))])
+    chain = _remainders(g, _derivative(g))
     out = []
     stack = [(0, 1, 0, _variations(chain, 0, 0), _variations(chain, 1, 0))]
     while stack:
@@ -336,7 +331,8 @@ def band_set(p: PeriodicPoint, grid_points: int = 2001, tol: float = 1e-10) -> B
     one interval; the band edges are the roots of H = F / gcd(F, F')**2,
     where F changes sign.  Any common factor of F and P divides 4 W**2, a
     constant, so gcd(F, F') = gcd(F, 2 P P') = gcd(F, P') up to sign, and
-    the gcd is taken with P', of half the degree of F'; H does not see the
+    the gcd is taken with P', of half the degree of F', as the last member
+    of their remainder sequence (:func:`_remainders`); H does not see its
     sign.  H is even too, H(c) = G(c**2) with G = H[::2] of degree <= n, so
     the edges in (0, 1] are isolated and refined through G in y = c**2
     (:func:`_edges_above_zero`) and mirrored to k -> pi - k.  The
@@ -367,7 +363,7 @@ def band_set(p: PeriodicPoint, grid_points: int = 2001, tol: float = 1e-10) -> B
         for j, y in enumerate(trace):
             f[i + j] += x * y
     f[0] -= 4 * math.prod(letters) ** 2
-    g = _gcd(f, _derivative(trace))
+    g = _primitive(_remainders(f, _derivative(trace))[-1])
     h = _exact_quo(_exact_quo(f, g), g)
 
     ks = _edges_above_zero(h[::2], tol)
@@ -410,15 +406,6 @@ def intersect(bands: list[BandSet]) -> BandSet:
         if not acc:
             break
     return BandSet(tuple(acc), tol)
-
-
-def h_tilde_bands(p: PeriodicPoint, tol: float = 1e-10) -> list[tuple[float, float]]:
-    """Spectrum of the weighted discrete hopping operator with weights
-    p_n/(p_n + p_{n-1}): the image of the k-bands under the order-reversing
-    map k -> cos k, as closed subintervals of [-1, 1]."""
-    b = band_set(p, tol=tol)
-    out = [(max(-1.0, math.cos(hi)), min(1.0, math.cos(lo))) for lo, hi in b.intervals]
-    return sorted(out)
 
 
 def exceptional_candidates(spec: SubshiftSpec, max_period: int, tol: float = 1e-10) -> BandSet:

@@ -6,12 +6,13 @@ import hashlib
 import io
 import json
 import math
+import re
 import subprocess
 import sys
 
 import pytest
 
-from sftlab import NotTransitive, ParseError, SupportViolation, UnknownSubcommand, cli
+from sftlab import NotStochastic, NotTransitive, ParseError, SupportViolation, UnknownSubcommand, cli
 from sftlab.cli import ResultTable, load_config, main, run_subcommand
 
 GOLDEN_CONFIG = {
@@ -189,6 +190,32 @@ def test_non_numeric_transition_exits_2(tmp_path, capsys, transition):
     assert main(["periodic", "--config", path]) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err.startswith("error: markov.transition: ")
+
+
+# the spec and its transitive closure cost time and memory quadratic in
+# alphabet_size (a 4000-letter spec took seconds and a quarter of a GB), so
+# a transition with fewer rows or shorter rows is refused before it is built
+@pytest.mark.parametrize(
+    "alphabet_size, transition, shape",
+    [(4000, [[0.5, 0.5], [1.0, 0.0]], "(2, 2)"), (3, [[0.5, 0.5], [1.0, 0.0], [0.5, 0.5]], "(3, 2)")],
+)
+def test_transition_smaller_than_the_alphabet_exits_2_before_the_spec(
+    tmp_path, capsys, monkeypatch, alphabet_size, transition, shape
+):
+    bad = json.loads(json.dumps(GOLDEN_CONFIG))
+    bad["subshift"]["alphabet_size"] = alphabet_size
+    bad["markov"]["transition"] = transition
+    path = write_config(tmp_path, bad)
+
+    def refuse(*args):
+        raise AssertionError("validate_spec called")
+
+    monkeypatch.setattr(cli, "validate_spec", refuse)
+    message = f"transition matrix must be {alphabet_size}x{alphabet_size}, got shape {shape}"
+    with pytest.raises(NotStochastic, match=f"^{re.escape(message)}$"):
+        load_config(path)
+    assert main(["periodic", "--config", path]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_periodic_table(tmp_path):

@@ -1,5 +1,5 @@
 """Markov measures: stationarity, support checks, reproducible sampling and
-cylinder probabilities."""
+the frequencies of sampled letters and pairs."""
 
 import tracemalloc
 
@@ -9,9 +9,6 @@ import pytest
 from sftlab import (
     NotStochastic,
     SupportViolation,
-    Word,
-    cylinder_probability,
-    is_admissible,
     sample_window,
     stationary_markov,
     validate_spec,
@@ -282,7 +279,7 @@ def test_sample_window_pinned_letters():
 def test_golden_samples_avoid_forbidden_word():
     mu = golden_half()
     w = sample_window(mu, 0, 20000, 99)
-    assert is_admissible(GOLDEN, w)
+    assert all(GOLDEN.allows(a, b) for a, b in zip(w.letters, w.letters[1:]))
     assert (2, 2) not in set(zip(w.letters, w.letters[1:]))
 
 
@@ -296,62 +293,17 @@ def test_letter_frequencies_match_stationary():
 
 
 def test_pair_frequencies_match_cylinders():
-    # ergodic sampling: length-2 word frequencies converge to cylinder
-    # probabilities (3 sigma, 1e6 steps)
+    # ergodic sampling: length-2 word frequencies converge to the cylinder
+    # probabilities pi_a P_ab (3 sigma, 1e6 steps)
     mu = golden_half()
     n = 1_000_000
     w = sample_window(mu, 0, n, 555)
     pairs = list(zip(w.letters, w.letters[1:]))
     for target in ((1, 1), (1, 2), (2, 1)):
         emp = pairs.count(target) / n
-        exact = cylinder_probability(mu, Word(target))
+        a, b = target
+        exact = mu.stationary[a - 1] * mu.transition[a - 1, b - 1]
         assert abs(emp - exact) < 3.0 / np.sqrt(n)
-
-
-def test_cylinder_probability_full_uniform():
-    mu = full_uniform()
-    assert cylinder_probability(mu, Word((1, 2))) == pytest.approx(0.25, abs=1e-15)
-
-
-def test_cylinder_probability_golden():
-    mu = golden_half()
-    assert cylinder_probability(mu, Word((2, 1))) == pytest.approx(1.0 / 3.0, abs=1e-12)
-
-
-@pytest.mark.parametrize("letters", [(0, 1), (-1,), (3,), (1, 3)])
-def test_cylinder_probability_rejects_letters_outside_alphabet(letters):
-    # letter 0 would wrap to the last row, 3 would index past it
-    with pytest.raises(ValueError, match=r"^letters must lie in 1\.\.2, got "):
-        cylinder_probability(golden_half(), Word(letters))
-
-
-def test_cylinder_single_letter_is_stationary():
-    mu = golden_half()
-    for j in (1, 2):
-        assert cylinder_probability(mu, Word((j,))) == pytest.approx(mu.stationary[j - 1], abs=1e-15)
-
-
-def test_cylinder_base_index_invariance():
-    mu = golden_half()
-    for base in (-3, 0, 7):
-        assert cylinder_probability(mu, Word((1, 2, 1), base)) == cylinder_probability(
-            mu, Word((1, 2, 1), 0)
-        )
-
-
-def test_cylinder_additivity():
-    mu = golden_half()
-    for prefix in ((1,), (2,), (1, 2), (1, 1, 2)):
-        total = sum(
-            cylinder_probability(mu, Word(prefix + (j,)))
-            for j in (1, 2)
-            if GOLDEN.allows(prefix[-1], j)
-        )
-        assert total == pytest.approx(cylinder_probability(mu, Word(prefix)), abs=1e-12)
-
-
-def test_empty_word_has_probability_one():
-    assert cylinder_probability(full_uniform(), Word(())) == 1.0
 
 
 def test_generator_stream_is_call_size_independent():

@@ -40,15 +40,12 @@ PUBLIC_NAMES = [
     "band_set",
     "canonical_cos",
     "cocycle_product",
-    "cylinder_probability",
     "edge_derivatives",
     "enumerate_periodic_points",
     "exceptional_candidates",
     "gaps",
-    "h_tilde_bands",
     "in_exclusion_window",
     "intersect",
-    "is_admissible",
     "kalinin_profile",
     "kirchhoff_residual",
     "lyapunov_mc",

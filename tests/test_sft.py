@@ -16,7 +16,6 @@ from sftlab import (
     PeriodicPoint,
     Word,
     enumerate_periodic_points,
-    is_admissible,
     shift,
     validate_spec,
 )
@@ -184,18 +183,6 @@ def test_validate_spec_rejects_bad_input():
         validate_spec(2, [(0, 1)])
     with pytest.raises(ValueError):
         validate_spec(2, [(1, 3)])
-
-
-def test_is_admissible():
-    assert is_admissible(GOLDEN, Word((1, 2, 1)))
-    assert not is_admissible(GOLDEN, Word((2, 2)))
-    assert is_admissible(GOLDEN, Word(()))
-    assert is_admissible(FULL, Word((2, 2, 2, 2)))
-    assert is_admissible(GOLDEN, Word((2,)))
-    # a one-letter word has no pair for SubshiftSpec.allows to range-check
-    for letters in ((0,), (5,), (1, 2, 3)):
-        with pytest.raises(ValueError, match=r"^letters must lie in 1\.\.2, got"):
-            is_admissible(GOLDEN, Word(letters))
 
 
 def test_enumerate_full_shift_period_2():
