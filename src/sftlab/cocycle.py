@@ -147,18 +147,22 @@ def a_matrix(k: float, prev: int, cur: int) -> Mat2:
 
 def cocycle_product(k: float, word: Word) -> ScaledMat2:
     """Ordered product A(T^{n-1} w) ... A(w) over n = word.last_index + 1
-    steps, renormalized every step.  The word must cover indices -1..n-1;
-    a word ending at index -1 gives n = 0 and the identity."""
+    steps, each column renormalized by its own max entry every step, so a
+    column far smaller than the other is never lost to underflow.  The word
+    must cover indices -1..n-1; one ending at index -1 gives the identity."""
     n = word.last_index + 1
     if n < 0:
         raise ValueError("word must cover index -1 (n >= 0)")
     if word.first_index > -1:
         raise ValueError("word must cover index -1")
-    acc = ScaledMat2(IDENTITY, 0.0)
+    m, a1, a2 = IDENTITY, 0.0, 0.0  # the product is m with column j times e**aj
     for j in range(n):
-        step = a_matrix(k, word.letter(j - 1), word.letter(j))
-        acc = scaled_from(mat_mul(step, acc.mat), acc.log_scale)
-    return acc
+        m = mat_mul(a_matrix(k, word.letter(j - 1), word.letter(j)), m)
+        c1, c2 = max(abs(m.a11), abs(m.a21)), max(abs(m.a12), abs(m.a22))
+        m = Mat2(m.a11 / c1, m.a12 / c2, m.a21 / c1, m.a22 / c2)
+        a1, a2 = a1 + math.log(c1), a2 + math.log(c2)
+    c1, c2 = math.exp(a1 - max(a1, a2)), math.exp(a2 - max(a1, a2))
+    return scaled_from(Mat2(m.a11 * c1, m.a12 * c2, m.a21 * c1, m.a22 * c2), max(a1, a2))
 
 
 def solve_difference(k: float, word: Word, u0: float, um1: float) -> list[float]:

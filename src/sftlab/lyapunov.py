@@ -2,9 +2,9 @@
 estimates, zero-exponent scans and the periodic-approximation diagnostic.
 
 The Monte-Carlo estimator runs ``n_samples`` independent windows of
-``n_steps`` steps each.  Sample ``i`` is lane ``i`` of the sampler in
-:mod:`sftlab.measure`, seeded with ``(seed, i)``, so its letters are those of
-``sample_window(measure, -1, n_steps - 1, seed=(seed, i))`` by construction.
+``n_steps`` steps each.  Sample ``i`` is lane ``i`` of the lane walk in
+:mod:`sftlab.measure`, seeded with ``(seed, i)``: by the sampling contract its
+letters are those of ``sample_window(measure, -1, n_steps - 1, seed=(seed, i))``.
 It multiplies the per-step matrices with max-entry renormalization and
 reports
 
@@ -287,7 +287,7 @@ def _mc_rates(
     block, so the chunks never change a bit of the result."""
     l = measure.spec.alphabet_size
     length = _word_steps(measure)
-    _, words, walk = _lane_walk(measure, [(int(seed), i) for i in range(n_samples)], n_steps + 1, length)
+    words, walk = _lane_walk(measure, [(int(seed), i) for i in range(n_samples)], n_steps + 1, length)
     steps = _step_table(measure, k_values)
     eye = np.zeros((4, 1, len(k_values)))
     eye[0] = eye[3] = 1.0

@@ -9,15 +9,18 @@ each subsequent letter by inverse CDF on the transition row of its
 predecessor.  Inverse CDF on cumulative weights ``cum`` maps a uniform ``u``
 to ``#{i < len(cum)-1 : cum[i] <= u}``.
 
-One walk, :func:`_lane_walk`, implements it for any number of lanes:
-:func:`sample_window` is its one-lane case, and Monte-Carlo samples are lanes.
+Two implementations read the same doubles (:func:`_thresholds`).
+:func:`sample_window` is the reference: one generator, one
+``bisect_right`` per letter, uniforms drawn in blocks of ``_BLOCK``.
+:func:`_lane_walk` is the lane kernel the Monte-Carlo estimator walks, one
+lane per sample.
 
 The next letter depends on ``u`` only through its bucket
 ``#{theta in Theta : theta <= u}``, where Theta is the sorted set of distinct
 interior cumulative transition weights strictly inside (0, 1): a weight
 ``<= 0`` is always ``<= u`` and a weight ``>= 1`` never is, since ``u`` lies in
 [0, 1).  So there are only ``nb = len(Theta) + 1`` step maps.  Per call the
-sampler tabulates, for every letter and every code of k buckets, the k
+lane walk tabulates, for every letter and every code of k buckets, the k
 letters that follow, k the chunk length its caller names.  Each block of
 k * 2**m letters, the largest power-of-two count of whole chunks within 1024
 letters (the last block may be shorter), draws every lane's uniforms into a
@@ -26,11 +29,9 @@ per k letters.  The block length never changes a letter: each lane reads
 one stream.  The walk hands out the distinct (k+1)-letter words, each the
 letter before a chunk and then its k letters, numbered once in
 lexicographic order while the tables are built, and yields each chunk's
-word id; how walk positions are numbered stays inside this module.  A
-block's letters are one gather of words away (:func:`_block_letters`).  The
+word id; how walk positions are numbered stays inside this module.  The
 Monte-Carlo kernel takes the ids as its word slots, walking chunks of
-exactly its word length L, and :func:`sample_window` walks single letters
-(k = 1).
+exactly its word length L.
 """
 
 from __future__ import annotations
@@ -99,13 +100,13 @@ def stationary_markov(spec: SubshiftSpec, transition) -> MarkovMeasure:
 
 def _lane_walk(
     measure: MarkovMeasure, seeds, n_letters: int, k: int
-) -> tuple[np.ndarray, np.ndarray, Iterator[tuple[int, np.ndarray]]]:
+) -> tuple[np.ndarray, Iterator[tuple[int, np.ndarray]]]:
     """The contract's walk over n_letters letters per lane (one per seed):
-    each lane's 0-based first letter, shape (lanes,); the words of
-    :func:`_chunk_tables` for chunks of k letters, each the letter before a
-    chunk and then the chunk;
-    and an iterator over the blocks after the first letter that yields
-    (b, ids), ids the id of every chunk's word, shape (ceil(b / k), lanes).
+    the words of :func:`_chunk_tables` for chunks of k letters, each the
+    letter before a chunk and then the chunk, so the first chunk's word
+    starts with the lane's first letter; and an iterator over the blocks
+    after the first letter that yields (b, ids), ids the id of every
+    chunk's word, shape (ceil(b / k), lanes).
     Every block but the last has b = k * 2**m letters, the largest
     power-of-two count of whole chunks within _BLOCK letters, so it is 2**m
     whole chunks; the last block may be shorter.  The letters do not depend
@@ -123,7 +124,7 @@ def _lane_walk(
             cur = words[ids[-1], (b - 1) % k + 1]  # the block's last letter
             yield b, ids
 
-    return first, words, blocks(first.copy())  # callers may change first
+    return words, blocks(first)
 
 
 def _thresholds(measure: MarkovMeasure) -> tuple[list[list[float]], list[float]]:
@@ -184,10 +185,7 @@ def _walk_block(
     to whole chunks of k, and become one bucket code per chunk, kept as
     (chunks, lanes).  The walk takes one gather in last per chunk, where
     position s*nb**k + code holds the chunk's end letter times nb**k, so
-    there is no loop per letter (one lane walks it on Python ints: a
-    50-letter :func:`sample_window` on the benchmark's 3-letter shift took
-    83-88 us that way against 144-146 us through the numpy loop, on a
-    2-core Xeon)."""
+    there is no loop per letter."""
     nbk = (len(theta) + 1) ** k
     lanes = len(gens)
     u = np.empty((lanes, -(-b // k) * k))
@@ -201,24 +199,11 @@ def _walk_block(
         code *= len(theta) + 1
         code += q[:, :, i]
     pos = np.array(code.T, dtype=np.intp, order="C")
-    if lanes == 1:  # sample_window: on one lane, numpy's cost per call outweighs the work
-        table, at, walk = last.tolist(), int(cur[0]) * nbk, pos[:, 0].tolist()
-        for c, x in enumerate(walk):
-            walk[c] = at = at + x
-            at = table[at]
-        pos[:, 0] = walk
-    else:
-        at = cur * nbk
-        for row in pos:
-            row += at
-            at = last[row]
+    at = cur * nbk
+    for row in pos:
+        row += at
+        at = last[row]
     return pos
-
-
-def _block_letters(words: np.ndarray, ids: np.ndarray, b: int) -> np.ndarray:
-    """The b letters of a block whose chunks walked the words ids of the
-    table words, shape (lanes, b): one gather of the chunks' letters."""
-    return np.take(words[:, 1:], ids.T, axis=0).reshape(ids.shape[1], -1)[:, :b]
 
 
 def _buckets(u: np.ndarray, theta: list[float], dtype) -> np.ndarray:
@@ -232,13 +217,19 @@ def _buckets(u: np.ndarray, theta: list[float], dtype) -> np.ndarray:
 def sample_window(measure: MarkovMeasure, first_index: int, last_index: int, seed) -> Word:
     """Draw a window of letters covering [first_index, last_index].
 
-    Deterministic in (measure, indices, seed); see the module docstring for
-    the seed-to-stream mapping.  This is the one-lane case of the sampler
-    the Monte-Carlo estimator uses, walking single letters (k = 1).
+    Deterministic in (measure, indices, seed): the sampling contract of the
+    module docstring, one letter at a time.  Uniforms are drawn in blocks of
+    _BLOCK, so a long window holds one block of them at a time.
     """
     if first_index > last_index:
         raise ValueError("first_index must be <= last_index")
-    first, words, walk = _lane_walk(measure, [seed], last_index - first_index + 1, 1)
-    letters = np.concatenate([first, *(_block_letters(words, pos, b)[0] for b, pos in walk)])
-    return Word(tuple((letters + 1).tolist()), first_index)
-
+    n = last_index - first_index + 1
+    gen = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
+    rows = _thresholds(measure)[0]
+    cur = bisect_right(np.cumsum(measure.stationary)[:-1].tolist(), gen.random())
+    letters = [cur + 1]
+    for done in range(1, n, _BLOCK):
+        for u in gen.random(min(_BLOCK, n - done)).tolist():
+            cur = bisect_right(rows[cur], u)
+            letters.append(cur + 1)
+    return Word(letters, first_index)

@@ -261,13 +261,14 @@ def test_block_slots_match_sample_window(name):
             for i in range(n_samples)
         ]
         seeds = [(seed, i) for i in range(n_samples)]
-        first, words, walk = _lane_walk(measure, seeds, n_steps + 1, length)
+        words, walk = _lane_walk(measure, seeds, n_steps + 1, length)
+        blocks = list(walk)
         assert words.shape[1] == length + 1
-        assert first.tolist() == [w[0] for w in windows]
+        assert words[blocks[0][1][0], 0].tolist() == [w[0] for w in windows]
         step0 = len(words)
         pad = step0 + l * l
         sizes, t0 = [], 0
-        for b, ids in walk:
+        for b, ids in blocks:
             slots = _block_slots(ids, b, words, l, step0, pad)
             bits = len(slots).bit_length() - 1
             rows = [int(format(t, f"0{bits}b")[::-1], 2) for t in range(len(slots))]
@@ -303,7 +304,7 @@ def test_sampler_words_are_the_admissible_words_in_order(name):
     words = [(a,) for a in range(len(allowed))]
     for _ in range(length):  # extending sorted words letter by letter keeps them sorted
         words = [w + (b,) for w in words for b in range(len(allowed)) if allowed[w[-1]][b]]
-    _, got, _ = _lane_walk(measure, [0], 2, length)
+    got, _ = _lane_walk(measure, [0], 2, length)
     assert [tuple(w) for w in got.tolist()] == words
     assert len(words) == np.linalg.matrix_power(np.array(allowed, dtype=np.int64), length).sum()
 
@@ -386,7 +387,7 @@ def _path_walk(path, length):
 
     def lane_walk(measure, seeds, n_letters, k):
         assert (len(seeds), n_letters, k) == (1, len(x), length)
-        return x[:1], words, blocks()
+        return words, blocks()
 
     return lane_walk
 
@@ -435,16 +436,15 @@ def test_mc_kernel_keeps_the_small_direction_at_half_pi(monkeypatch):
     # renormalized by its max entry, the running product has lost the small
     # direction after the first 2000 steps, so the kernel reads -0.11558
     # where the exact rate is +0.11558 (the scalar cocycle_product, which
-    # renormalizes the same way, reads -0.11558 too)
+    # scales each column on its own, reads +0.11558)
     monkeypatch.setattr(lyapunov_module, "_lane_walk", _path_walk(CHOSEN_PATH, _word_steps(FULL_UNIFORM)))
     rate = _mc_rates(FULL_UNIFORM, [math.pi / 2], len(CHOSEN_PATH) - 1, 1, 0)[0, 0]
     assert rate == pytest.approx(_half_pi_rate(CHOSEN_PATH), rel=0, abs=1e-12)
 
 
-@pytest.mark.xfail(strict=True, reason="ROADMAP item 2: the scalar product loses its small direction at pi/2 too")
 def test_cocycle_product_keeps_the_small_direction_at_half_pi():
-    # the public scalar reference renormalizes by the max entry as the kernel
-    # does, so on the chosen path it reads -0.11558 too
+    # the public scalar reference scales each column on its own, so the
+    # small direction survives the first 2000 steps and the rate is +0.11558
     rate = growth_rate(cocycle_product(math.pi / 2, Word(tuple(CHOSEN_PATH), -1)), len(CHOSEN_PATH) - 1)
     assert rate == pytest.approx(_half_pi_rate(CHOSEN_PATH), rel=0, abs=1e-12)
 

@@ -13,7 +13,7 @@ from sftlab import (
     stationary_markov,
     validate_spec,
 )
-from sftlab.measure import _BLOCK, _block_letters, _buckets, _chunk_tables, _lane_walk
+from sftlab.measure import _BLOCK, _buckets, _chunk_tables, _lane_walk
 
 FULL = validate_spec(2, [])
 GOLDEN = validate_spec(2, [(2, 2)])
@@ -212,12 +212,16 @@ def test_chunk_tables_step_at_thresholds(make):
 @pytest.mark.parametrize("make", [golden_half, three_markov])
 def test_lane_walk_lanes_match_one_lane_windows(make):
     # the lanes walk chunks of 3 letters in blocks of 768, sample_window
-    # single letters in blocks of _BLOCK: the letters must agree
+    # one letter at a time: the two implementations must agree; a lane's
+    # first letter starts the word of its first chunk
     mu = make()
     seeds = [(5, i) for i in range(37)]
     n_letters = 2 * _BLOCK + 37
-    first, words, walk = _lane_walk(mu, seeds, n_letters, 3)
-    lanes = np.concatenate([first[:, None], *(_block_letters(words, ids, b) for b, ids in walk)], axis=1)
+    words, walk = _lane_walk(mu, seeds, n_letters, 3)
+    blocks = list(walk)
+    letters = [words[blocks[0][1][0], :1]]
+    letters += [words[ids.T, 1:].reshape(len(seeds), -1)[:, :b] for b, ids in blocks]
+    lanes = np.concatenate(letters, axis=1)
     assert lanes.shape == (37, n_letters)
     for seed, row in zip(seeds, lanes):
         assert tuple((row + 1).tolist()) == sample_window(mu, 0, n_letters - 1, seed).letters
@@ -225,11 +229,10 @@ def test_lane_walk_lanes_match_one_lane_windows(make):
 
 @pytest.mark.parametrize("make", [golden_half, three_bench, two_thresholds, four_letters])
 def test_lane_walk_any_chunk_length_matches_contract(make):
-    # the Monte-Carlo kernel walks chunks of its word length and
-    # sample_window single letters: any chunk length walks the contract's
-    # letters in blocks of k * 2**m letters (2**m whole chunks, the most
-    # within _BLOCK) and a short last block, and every chunk's word starts
-    # with the letter before the chunk
+    # the Monte-Carlo kernel walks chunks of its word length, and any
+    # chunk length walks the contract's letters in blocks of k * 2**m
+    # letters (2**m whole chunks, the most within _BLOCK) and a short last
+    # block, and every chunk's word starts with the letter before the chunk
     mu = make()
     seeds = [(9, i) for i in range(5)]
     n_letters = 2 * _BLOCK + 2
@@ -238,17 +241,17 @@ def test_lane_walk_any_chunk_length_matches_contract(make):
     for k, block in ((1, 1024), (2, 1024), (3, 768), (4, 1024), (8, 1024)):
         if nb**k > 8192:
             continue
-        first, words, walk = _lane_walk(mu, seeds, n_letters, k)
+        words, walk = _lane_walk(mu, seeds, n_letters, k)
         assert words.shape[1] == k + 1
-        letters, sizes, t0 = [first[:, None]], [], 1
+        letters, sizes, t0 = [], [], 1
         for b, ids in walk:
             assert ids.shape == (-(-b // k), len(seeds))
             assert np.array_equal(words[ids, 0], expected[:, t0 - 1 : t0 - 1 + b : k].T)
-            letters.append(_block_letters(words, ids, b))
+            letters.append(words[ids.T, 1:].reshape(len(seeds), -1)[:, :b])
             sizes.append(b)
             t0 += b
         assert sizes == [block, block, n_letters - 1 - 2 * block]
-        assert np.array_equal(np.concatenate(letters, axis=1), expected)
+        assert np.array_equal(np.concatenate(letters, axis=1), expected[:, 1:])
 
 
 def test_lane_walk_memory_per_lane():
@@ -260,13 +263,28 @@ def test_lane_walk_memory_per_lane():
     lanes = 1000
     tracemalloc.start()
     try:
-        first, words, walk = _lane_walk(mu, [(3, i) for i in range(lanes)], 1 + 2 * _BLOCK, 8)
+        words, walk = _lane_walk(mu, [(3, i) for i in range(lanes)], 1 + 2 * _BLOCK, 8)
         for b, ids in walk:
-            block = _block_letters(words, ids, b)
+            block = words[ids.T, 1:].reshape(lanes, -1)[:, :b]
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak / lanes <= 24_000
+
+
+def test_sample_window_memory_per_letter():
+    # a long window holds its letters (a list of small ints, then the
+    # Word's tuple) and one block of uniforms, about 21 bytes a letter; one
+    # draw of the whole window as Python floats would add 32 bytes a letter
+    mu = golden_half()
+    n = 200_000
+    tracemalloc.start()
+    try:
+        sample_window(mu, 0, n - 1, 7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / n <= 32
 
 
 def test_sample_window_pinned_letters():
