@@ -271,24 +271,44 @@ def run_subcommand(
     raise UnknownSubcommand(f"unknown subcommand {name!r}; expected one of {SUBCOMMANDS}")
 
 
-def _add_arguments(parser: argparse.ArgumentParser, name: str) -> None:
-    """The arguments of subcommand ``name``."""
-    parser.add_argument("--config", required=True, help="path to the JSON config")
-    parser.add_argument("--json", action="store_true", help="emit JSON instead of CSV")
-    parser.add_argument("--output", default=None, help="write to a file instead of stdout")
+# flag: (type, or None for the store_true --json; required; help)
+_OPTIONS = {
+    "--config": (str, True, "path to the JSON config"),
+    "--json": (None, False, "emit JSON instead of CSV"),
+    "--output": (str, False, "write to a file instead of stdout"),
+    "--max-period": (int, False, None),
+    "--k": (float, True, None),
+    "--seed": (int, False, None),
+}
+
+
+def _flags(name: str) -> list[str]:
+    """The flags of subcommand ``name``, in help order."""
+    flags = ["--config", "--json", "--output"]
     if name in ("periodic", "bands", "candidates", "kalinin"):
-        parser.add_argument("--max-period", type=int, default=None)
+        flags.append("--max-period")
     if name in ("kalinin", "verify-graph"):
-        parser.add_argument("--k", type=float, required=True)
+        flags.append("--k")
     if name == "verify-graph":
-        parser.add_argument("--seed", type=int, default=None)
+        flags.append("--seed")
+    return flags
+
+
+def _add_arguments(parser: argparse.ArgumentParser, name: str) -> None:
+    """The arguments of subcommand ``name``, from :data:`_OPTIONS`."""
+    for flag in _flags(name):
+        kind, required, text = _OPTIONS[flag]
+        if kind is None:
+            parser.add_argument(flag, action="store_true", help=text)
+        else:
+            parser.add_argument(flag, type=kind, required=required, help=text)
 
 
 def _build_parser() -> argparse.ArgumentParser:
     """The whole CLI: a top-level parser with one subparser per subcommand.
-    :func:`_parse_args` builds it only for argv that the parser of one
-    subcommand alone does not parse cleanly, so every usage line, error
-    message and exit code comes from here."""
+    :func:`_parse_args` builds it only for argv that the plain parse of
+    one subcommand refuses, so every usage line, error message and exit
+    code comes from here."""
     parser = argparse.ArgumentParser(prog="sftlab", description=__doc__.splitlines()[0])
     subs = parser.add_subparsers(dest="subcommand", required=True)
     for name in SUBCOMMANDS:
@@ -296,41 +316,72 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-class _Refused(Exception):
-    """The parser of one subcommand alone did not parse argv cleanly."""
-
-
-class _SubcommandParser(argparse.ArgumentParser):
-    def error(self, message):
-        raise _Refused(message)
+def _plain_parse(name: str, tokens: list[str]) -> argparse.Namespace | None:
+    """The namespace of ``sftlab NAME *tokens``, or None unless every token
+    is an exact flag of ``name`` given once, ``--flag value`` with a value
+    not starting with ``-``, or ``--flag=value``; ``--json`` takes no value,
+    every value converts and every required flag is given."""
+    flags = _flags(name)
+    given = {}
+    i = 0
+    while i < len(tokens):
+        flag, eq, value = tokens[i].partition("=")
+        if flag not in flags or flag in given:
+            return None
+        kind = _OPTIONS[flag][0]
+        if kind is None:
+            if eq:
+                return None
+            given[flag] = True
+        else:
+            if not eq:
+                i += 1
+                if i == len(tokens):
+                    return None
+                value = tokens[i]
+            if value.startswith("-"):
+                return None
+            try:
+                given[flag] = kind(value)
+            except ValueError:
+                return None
+        i += 1
+    args = argparse.Namespace(subcommand=name)
+    for flag in flags:
+        kind, required, _ = _OPTIONS[flag]
+        if required and flag not in given:
+            return None
+        setattr(args, flag[2:].replace("-", "_"), given.get(flag, False if kind is None else None))
+    return args
 
 
 def _parse_args(argv: list[str]) -> argparse.Namespace:
     """Parse argv as the whole CLI (:func:`_build_parser`) does.
 
-    When argv[0] names a subcommand, argparse hands every later token, a
-    ``--`` too, to that subcommand's parser, which has prog ``sftlab NAME``
-    and the arguments of :func:`_add_arguments`.  So a parser built with
-    just those arguments parses argv[1:] to the same namespace whenever it
-    parses it with no error and no extra token, and its ``-h`` prints the
-    same help and exits 0.  Any other argv, a refused one or one whose
-    first token names no subcommand, is parsed by the whole CLI, which
-    prints its own usage and message.
+    When argv[0] names a subcommand, argparse hands every later token to
+    that subcommand's parser, whose arguments :func:`_add_arguments` builds
+    from :data:`_OPTIONS`.  :func:`_plain_parse` reads the same table, and
+    a token stream it accepts gives argparse's namespace: an exact flag
+    always beats an abbreviation; a value that does not start with ``-``
+    is never taken for an option; argparse also splits ``--flag=value`` at
+    the first ``=``; and both paths call the same type callable and use
+    the same defaults.  A value starting with ``-`` is refused in the
+    ``=`` form too, since the argparse of Python 3.11 reads ``--config=--``
+    as an empty list.  Any other argv (help, an abbreviation, a negative
+    number, a repeated flag, ``--``, an error, or a first token that names
+    no subcommand) is parsed by the whole CLI, which prints its own usage
+    and message.
 
     One whole-CLI parser cached per process would need no second path, but
     a ``sftlab`` process parses once, so the cache saves it nothing, and
     ``bench/run.py`` clears every cache before each op to time each op as
-    one such process.  There the cached parser is rebuilt in full on every
-    op: on cli_light (2-CPU Xeon VM, 9 pairs of 25 s runs) its median op
-    read 2.68 ms against 1.95 ms for the whole CLI with arguments for the
-    named subcommand only, and this path reads about 1.31 ms."""
+    one such process.  The plain parse of a ``verify-graph`` argv takes
+    about 10 us, against about 0.35 ms for an argparse parser of that
+    subcommand alone (2-CPU VM, warm, in-process)."""
     if argv and argv[0] in SUBCOMMANDS:
-        parser = _SubcommandParser(prog=f"sftlab {argv[0]}")
-        _add_arguments(parser, argv[0])
-        try:
-            return parser.parse_args(argv[1:], argparse.Namespace(subcommand=argv[0]))
-        except _Refused:
-            pass
+        args = _plain_parse(argv[0], argv[1:])
+        if args is not None:
+            return args
     return _build_parser().parse_args(argv)
 
 

@@ -35,10 +35,12 @@ class EdgeSolution:
 
 def edge_derivatives(e: EdgeSolution) -> tuple[float, float]:
     """(phi'(0), phi'(1)) = (k/sin k) * (-cos k phi0 + phi1, -phi0 + cos k phi1)."""
-    s = math.sin(e.k)
-    c = math.cos(e.k)
-    f = e.k / s
-    return f * (-c * e.phi0 + e.phi1), f * (-e.phi0 + c * e.phi1)
+    return _derivatives(e.k / math.sin(e.k), math.cos(e.k), e.phi0, e.phi1)
+
+
+def _derivatives(f: float, c: float, phi0: float, phi1: float) -> tuple[float, float]:
+    # f = k / sin k and c = cos k, computed once per energy by the caller
+    return f * (-c * phi0 + phi1), f * (-phi0 + c * phi1)
 
 
 @dataclass(frozen=True)
@@ -71,8 +73,10 @@ def kirchhoff_residual(v: VertexData, k: float) -> list[float]:
     vertex exactly when the three-term recursion holds there."""
     check_energy(k)
     w, u = v.word.letters, v.values
-    scale = (k / abs(math.sin(k))) * max(max(map(abs, u)), 1e-300)
-    d = [edge_derivatives(EdgeSolution(k, u[i], u[i + 1])) for i in range(len(w))]
+    s = math.sin(k)
+    f, c = k / s, math.cos(k)
+    scale = (k / abs(s)) * max(max(map(abs, u)), 1e-300)
+    d = [_derivatives(f, c, u[i], u[i + 1]) for i in range(len(w))]
     return [(w[i] * d[i][0] - w[i - 1] * d[i - 1][1]) / scale for i in range(1, len(w))]
 
 

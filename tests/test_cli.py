@@ -1,11 +1,13 @@
 """Config loading, subcommand tables, serialization round-trip and exit
 codes."""
 
+import argparse
 import csv
 import hashlib
 import io
 import json
 import math
+import random
 import re
 import subprocess
 import sys
@@ -532,6 +534,29 @@ def test_main_calls_in_one_process_are_independent(tmp_path, capsys):
     assert forward[7][1].startswith("usage: sftlab ")
 
 
+# SHA-256 of `sftlab --help` and of each `sftlab NAME --help` at COLUMNS=80,
+# recorded before cli._add_arguments built the arguments from cli._OPTIONS
+# (argparse's help format as of Python 3.10 and 3.11)
+HELP_SHA256 = {
+    "--help": "d80479570af6a06cf6f5f8b4da66b80d740f1871157a027e1e03c832d2bb1e0a",
+    "periodic": "7e5adf5f71eac0c2c805e1e95866352eee64f71c6379a890817af2725c1e63dd",
+    "bands": "898fe4cd6413c0679032c6eac10778239b380ebda0df8d8782f625453ecb10a8",
+    "lyapunov": "c9a85a15952a22afb6c856f08f4bf3ff0c162bb50b8296a7450d17c320fee8b0",
+    "zeroset": "c6c698b425be56c68383d81b31ed31a46be71d927da4595d1c7e80c08ea05441",
+    "candidates": "c09d9177f4b127fbc2e0b0b180a8ba91570eb7689b226db3fd6b3eb331c97763",
+    "kalinin": "1bc83520482758e92cdc6444fac0e2902d6739838b2a72ac7f60cbf911bda399",
+    "verify-graph": "503c4bd5d782b9385051c5ac392c6f17b1fb83789664ac9462efa368e066f9fe",
+}
+
+
+def test_help_text_is_pinned(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    for argv in [["--help"], *[[name, "--help"] for name in cli.SUBCOMMANDS]]:
+        code, out, err = outcome(capsys, main, argv)
+        assert (code, err) == (0, ""), argv
+        assert hashlib.sha256(out.encode()).hexdigest() == HELP_SHA256[argv[0]], argv
+
+
 PARSER_ARGVS = [
     [],
     ["--help"],
@@ -554,32 +579,119 @@ PARSER_ARGVS = [
     ["verify-graph", "--config", "c", "--k", "-1.5", "--seed", "7"],
     ["verify-graph", "--config", "c", "--k", "1", "--seed", "1.5"],
     *[[name, "--help"] for name in cli.SUBCOMMANDS],
-    # refused by the subcommand's own parser, so reported by the whole CLI
+    # errors, help and dash-led values, all from the whole CLI
     ["periodic", "--config", "c", "extra"],
     ["verify-graph", "--config", "c", "--k", "1", "--", "x"],
     ["verify-graph", "--config", "c", "--k", "x", "-h"],
     ["kalinin", "--config", "c", "--k", "0.5", "--max-period", "-"],
     ["verify-graph", "--config", "c", "--k", "1", "--"],
-    # help from it, or a clean parse
     ["verify-graph", "-h", "--config", "c", "--k", "x"],
+    ["candidates", "--config", "c", "--json=1"],
+    ["zeroset", "--config", "c", "--output"],
+    ["verify-graph", "--config", "c", "--k", ""],
+    ["bands", "--config=--json", "--json"],
+    ["bands", "--config=--"],  # argparse (3.11) reads the value as []
+    ["verify-graph", "--config", "c", "--k=-1.5"],
+    # clean parses by the whole CLI: a repeated or abbreviated flag
     ["periodic", "--config", "a", "--config", "b"],
     ["bands", "--config=c", "--max-p", "3"],
+    ["lyapunov", "--config", "c", "--json", "--json"],
+    # clean parses by the plain parse, with argparse's values
+    ["verify-graph", "--config", "c", "--k=1.5"],
+    ["periodic", "--config="],
+    ["verify-graph", "--config", "c", "--k", "1", "--seed", "1_0"],
+    ["kalinin", "--config", "c", "--k", " 1.5"],
+    ["verify-graph", "--config", "c", "--k", "nan"],
+    ["kalinin", "--config", "c", "--k", "1e400"],
+    ["periodic", "--config", ""],
+    ["zeroset", "--output", "", "--config", "c"],
 ]
+
+
+def parsed(capsys, call, argv):
+    # outcome() with a namespace as its sorted items, whose repr reads nan
+    # as equal to nan
+    result, out, err = outcome(capsys, call, argv)
+    if isinstance(result, argparse.Namespace):
+        result = repr(sorted(vars(result).items()))
+    return result, out, err
 
 
 @pytest.mark.parametrize("argv", PARSER_ARGVS, ids=" ".join)
 def test_parser_of_one_subcommand_matches_the_whole_cli(capsys, argv):
-    # _parse_args parses a subcommand's argv with that subcommand's parser
-    # alone; the result, usage, help and messages are those of the whole CLI
-    whole = outcome(capsys, cli._build_parser().parse_args, argv)
-    assert outcome(capsys, cli._parse_args, argv) == whole
+    # _parse_args parses a clean subcommand argv itself and hands any other
+    # to the whole CLI; the result, usage, help and messages are the whole CLI's
+    whole = parsed(capsys, cli._build_parser().parse_args, argv)
+    assert parsed(capsys, cli._parse_args, argv) == whole
+
+
+def test_parse_args_matches_the_whole_cli_on_random_argvs(capsys, monkeypatch):
+    # one whole-CLI parser serves as the reference and as _parse_args's
+    # fallback, so the test checks what the plain parse accepts and returns
+    parser = cli._build_parser()
+    fallbacks = []
+
+    def build():
+        fallbacks.append(1)
+        return parser
+
+    monkeypatch.setattr(cli, "_build_parser", build)
+    flags = ["--config", "--json", "--output", "--max-period", "--k", "--seed"]
+    abbreviations = ["--con", "--jso", "--out", "--max", "--see"]
+    values = ["c", "", "3", "-3", "1.5", "x", "nan", "--json", "-h", "--"]
+    vocabulary = [*cli.SUBCOMMANDS, *flags, *[f"{flag}=" for flag in flags], *abbreviations, *values]
+    rng = random.Random(2028)
+    n = 2000
+    for _ in range(n):
+        argv = [rng.choice(cli.SUBCOMMANDS) if rng.random() < 0.9 else rng.choice(vocabulary)]
+        # flags in random order, mostly the subcommand's own with the
+        # required ones among them, and mostly values that convert
+        own = cli._flags(argv[0]) if argv[0] in cli.SUBCOMMANDS and rng.random() < 0.7 else flags
+        chosen = rng.sample(own, rng.randint(0, 3))
+        if rng.random() < 0.8:
+            chosen = ["--config"] + [f for f in chosen if f != "--config"]
+            if argv[0] in ("kalinin", "verify-graph"):
+                chosen = ["--k"] + [f for f in chosen if f != "--k"]
+        for flag in rng.sample(chosen, len(chosen)):
+            form = rng.random()
+            value = rng.choice(["c", "3", "1.5"] if rng.random() < 0.9 else values)
+            if form < 0.03:
+                argv.append(rng.choice(vocabulary))
+            elif form < 0.06:
+                argv += [rng.choice(abbreviations), value]
+            elif flag == "--json" and form < 0.9:
+                argv.append(flag)
+            elif form < 0.75:
+                argv += [flag, value]
+            else:
+                argv.append(f"{flag}={value}")
+        whole = parsed(capsys, parser.parse_args, argv)
+        assert parsed(capsys, cli._parse_args, argv) == whole, argv
+    # both paths are exercised
+    assert n // 5 < len(fallbacks) < n - n // 5
+
+
+# the options of each benchmark op after --config P --output O
+BENCHMARK_ARGS = {
+    "periodic": ["--max-period", "14"],
+    "bands": ["--max-period", "6"],
+    "lyapunov": [],
+    "zeroset": [],
+    "candidates": ["--max-period", "8"],
+    "kalinin": ["--k", "1.5707963267948966"],
+    "verify-graph": ["--k", "1.25", "--seed", "7"],
+}
 
 
 def test_a_clean_subcommand_argv_does_not_build_the_whole_cli(monkeypatch):
     def refuse(*args):
         raise AssertionError("built the whole CLI parser")
 
+    whole = cli._build_parser()
     monkeypatch.setattr(cli, "_build_parser", refuse)
+    for name in cli.SUBCOMMANDS:
+        argv = [name, "--config", "c.json", "--output", "o.csv", *BENCHMARK_ARGS[name]]
+        assert cli._parse_args(argv) == whole.parse_args(argv)
     args = cli._parse_args(["verify-graph", "--config", "c", "--k", "1.5", "--seed", "7"])
     assert vars(args) == {
         "subcommand": "verify-graph", "config": "c", "json": False, "output": None, "k": 1.5, "seed": 7,

@@ -151,3 +151,20 @@ def test_vertex_value_outside_window():
     for n in (-2, 2):
         with pytest.raises(IndexError, match=f"vertex {n} outside window"):
             data.value_at(n)
+
+
+def test_kirchhoff_residual_matches_the_per_edge_construction_bit_for_bit():
+    # kirchhoff_residual computes sin k and cos k once per call; each residual
+    # equals the one built from edge_derivatives(EdgeSolution(...)) per edge
+    rng = random.Random(20261020)
+    ks = [rng.uniform(0.01, math.pi - 0.01) for _ in range(20)]
+    ks += [rng.uniform(math.pi / 2, math.pi) for _ in range(10)]
+    ks += [math.pi / 2, math.pi - 1e-6, math.pi - 1e-9, 1e-6]
+    for k in ks:
+        word = Word(tuple(rng.randint(1, 4) for _ in range(rng.randint(1, 60))), rng.randint(-5, 5))
+        u = tuple(rng.uniform(-1e3, 1e3) * rng.choice((1.0, 1e-8)) for _ in range(len(word) + 1))
+        w = word.letters
+        scale = (k / abs(math.sin(k))) * max(max(map(abs, u)), 1e-300)
+        d = [edge_derivatives(EdgeSolution(k, u[i], u[i + 1])) for i in range(len(w))]
+        reference = [(w[i] * d[i][0] - w[i - 1] * d[i - 1][1]) / scale for i in range(1, len(w))]
+        assert kirchhoff_residual(VertexData(word, u), k) == reference
