@@ -27,14 +27,11 @@ from .errors import (
 from .graph_model import EdgeSolution, VertexData, edge_derivatives, kirchhoff_residual, verify_corollary
 from .lyapunov import (
     LyapunovEstimate,
-    McParams,
-    ZeroSetHit,
     in_exclusion_window,
     kalinin_profile,
     lyapunov_mc,
     lyapunov_mc_grid,
     lyapunov_periodic,
-    zero_set_scan,
 )
 from .measure import MarkovMeasure, sample_window, stationary_markov
 from .sft import (

@@ -32,7 +32,7 @@ import numpy as np
 from .cocycle import solve_difference
 from .errors import NotStochastic, ParseError, SftlabError, SingularEnergy, UnknownSubcommand
 from .graph_model import VertexData, kirchhoff_residual
-from .lyapunov import McParams, kalinin_profile, lyapunov_mc_grid, zero_set_scan
+from .lyapunov import in_exclusion_window, kalinin_profile, lyapunov_mc_grid
 from .measure import MarkovMeasure, sample_window, stationary_markov
 from .sft import SubshiftSpec, enumerate_periodic_points, validate_spec
 from .spectra import band_set, exceptional_candidates
@@ -51,6 +51,13 @@ class GridSpec:
 
     def points(self) -> list[float]:
         return [float(x) for x in np.linspace(self.k_min, self.k_max, self.count)]
+
+
+@dataclass(frozen=True)
+class McParams:
+    n_steps: int
+    n_samples: int
+    seed: int
 
 
 @dataclass(frozen=True)
@@ -228,30 +235,28 @@ def run_subcommand(
         rows = [(i, lo, hi) for i, (lo, hi) in enumerate(cand.intervals)]
         return ResultTable("candidates", ("interval_index", "k_lo", "k_hi"), rows)
 
-    if name == "lyapunov":
-        estimates = lyapunov_mc_grid(
-            config.measure, config.grid.points(), config.mc.n_steps, config.mc.n_samples, config.mc.seed
-        )
-        rows = [(e.k, e.value, e.stderr, e.n_steps, e.n_samples, e.seed) for e in estimates]
-        return ResultTable(
-            "lyapunov", ("k", "value", "stderr", "n_steps", "n_samples", "seed"), rows
-        )
-
-    if name == "zeroset":
-        hits = zero_set_scan(
-            config.measure,
-            config.grid.points(),
-            config.epsilon,
-            config.mc,
-            config.exclusion_halfwidth,
-        )
-        rows = [(h.k, h.estimate.value, h.estimate.stderr, h.in_exclusion_window) for h in hits]
+    mc = config.mc
+    if name in ("lyapunov", "zeroset"):
+        estimates = lyapunov_mc_grid(config.measure, config.grid.points(), mc.n_steps, mc.n_samples, mc.seed)
+        if name == "lyapunov":
+            rows = [(e.k, e.value, e.stderr, e.n_steps, e.n_samples, e.seed) for e in estimates]
+            return ResultTable(
+                "lyapunov", ("k", "value", "stderr", "n_steps", "n_samples", "seed"), rows
+            )
+        # the grid energies where the exponent may vanish, flagged when they
+        # sit in a window around 0, pi/2 or pi
+        rows = [
+            (e.k, e.value, e.stderr, in_exclusion_window(e.k, config.exclusion_halfwidth))
+            for e in estimates
+            if e.value < config.epsilon
+        ]
         return ResultTable("zeroset", ("k", "value", "stderr", "in_exclusion_window"), rows)
 
     if name == "kalinin":
         if k is None:
             raise ParseError("kalinin requires --k")
-        rows = list(enumerate(kalinin_profile(config.measure, k, mp, config.mc), start=1))
+        profile = kalinin_profile(config.measure, k, mp, mc.n_steps, mc.n_samples, mc.seed)
+        rows = list(enumerate(profile, start=1))
         return ResultTable("kalinin", ("max_period", "gap"), rows)
 
     if name == "verify-graph":
@@ -259,7 +264,7 @@ def run_subcommand(
             raise ParseError("verify-graph requires --k")
         if seed is not None and seed < 0:
             raise ParseError(f"--seed: need seed >= 0, got {seed}")
-        window_seed = seed if seed is not None else config.mc.seed
+        window_seed = seed if seed is not None else mc.seed
         first, last = VERIFY_GRAPH_WINDOW
         word = sample_window(config.measure, first, last, window_seed)
         u0, um1 = VERIFY_GRAPH_DATA
@@ -304,12 +309,28 @@ def _add_arguments(parser: argparse.ArgumentParser, name: str) -> None:
             parser.add_argument(flag, type=kind, required=required, help=text)
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argparse parser that refuses a flag value not of its
+    :data:`_OPTIONS` type, as the argparse of Python 3.10 and 3.11 reads
+    ``--config=--`` as an empty list.  Subparsers share the class, so the
+    subcommand's parser gives the usage and message of a flag without a
+    value, and exit code 2."""
+
+    def parse_known_args(self, args=None, namespace=None):
+        namespace, extras = super().parse_known_args(args, namespace)
+        for flag, (kind, _, _) in _OPTIONS.items():
+            value = getattr(namespace, flag[2:].replace("-", "_"), None)
+            if kind is not None and value is not None and not isinstance(value, kind):
+                self.error(f"argument {flag}: expected one argument")
+        return namespace, extras
+
+
 def _build_parser() -> argparse.ArgumentParser:
     """The whole CLI: a top-level parser with one subparser per subcommand.
     :func:`_parse_args` builds it only for argv that the plain parse of
     one subcommand refuses, so every usage line, error message and exit
     code comes from here."""
-    parser = argparse.ArgumentParser(prog="sftlab", description=__doc__.splitlines()[0])
+    parser = _Parser(prog="sftlab", description=__doc__.splitlines()[0])
     subs = parser.add_subparsers(dest="subcommand", required=True)
     for name in SUBCOMMANDS:
         _add_arguments(subs.add_parser(name), name)
@@ -367,10 +388,10 @@ def _parse_args(argv: list[str]) -> argparse.Namespace:
     the first ``=``; and both paths call the same type callable and use
     the same defaults.  A value starting with ``-`` is refused in the
     ``=`` form too, since the argparse of Python 3.11 reads ``--config=--``
-    as an empty list.  Any other argv (help, an abbreviation, a negative
-    number, a repeated flag, ``--``, an error, or a first token that names
-    no subcommand) is parsed by the whole CLI, which prints its own usage
-    and message.
+    as an empty list, which :class:`_Parser` refuses.  Any other argv
+    (help, an abbreviation, a negative number, a repeated flag, ``--``, an
+    error, or a first token that names no subcommand) is parsed by the
+    whole CLI, which prints its own usage and message.
 
     One whole-CLI parser cached per process would need no second path, but
     a ``sftlab`` process parses once, so the cache saves it nothing, and

@@ -1,5 +1,5 @@
 """Lyapunov exponents: exact values on periodic orbits, Monte-Carlo ergodic
-estimates, zero-exponent scans and the periodic-approximation diagnostic.
+estimates and the periodic-approximation diagnostic.
 
 The Monte-Carlo estimator runs ``n_samples`` independent windows of
 ``n_steps`` steps each.  Sample ``i`` is lane ``i`` of the lane walk in
@@ -93,15 +93,6 @@ def _word_steps(measure: MarkovMeasure) -> int:
 
 
 @dataclass(frozen=True)
-class McParams:
-    """Monte-Carlo estimator controls shared by the scanning operations."""
-
-    n_steps: int = 100_000
-    n_samples: int = 100
-    seed: int = 0
-
-
-@dataclass(frozen=True)
 class LyapunovEstimate:
     k: float
     value: float
@@ -109,15 +100,6 @@ class LyapunovEstimate:
     n_steps: int
     n_samples: int
     seed: int
-
-
-@dataclass(frozen=True)
-class ZeroSetHit:
-    """A grid point whose estimate fell below the zero threshold."""
-
-    k: float
-    estimate: LyapunovEstimate
-    in_exclusion_window: bool
 
 
 def lyapunov_periodic(p: PeriodicPoint, k: float) -> float:
@@ -350,27 +332,8 @@ def in_exclusion_window(k: float, halfwidth: float = 0.02) -> bool:
     return any(abs(k - x) <= halfwidth for x in (0.0, math.pi / 2.0, math.pi))
 
 
-def zero_set_scan(
-    measure: MarkovMeasure,
-    k_grid: Sequence[float],
-    epsilon: float,
-    mc_params: McParams,
-    exclusion_halfwidth: float = 0.02,
-) -> list[ZeroSetHit]:
-    """All grid points whose estimate falls below epsilon, annotated with
-    whether they sit inside the exclusion windows around 0, pi/2, pi."""
-    estimates = lyapunov_mc_grid(
-        measure, k_grid, mc_params.n_steps, mc_params.n_samples, mc_params.seed
-    )
-    return [
-        ZeroSetHit(est.k, est, in_exclusion_window(est.k, exclusion_halfwidth))
-        for est in estimates
-        if est.value < epsilon
-    ]
-
-
 def kalinin_profile(
-    measure: MarkovMeasure, k: float, max_period: int, mc_params: McParams
+    measure: MarkovMeasure, k: float, max_period: int, n_steps: int, n_samples: int, seed: int
 ) -> list[float]:
     """For each period budget n = 1..max_period, the min over periodic points
     of period <= n of |periodic exponent - Monte-Carlo estimate|: a
@@ -379,7 +342,7 @@ def kalinin_profile(
     period (1 on a shift without fixed points) reads inf, the minimum over
     no points."""
     points = enumerate_periodic_points(measure.spec, max_period)
-    est = lyapunov_mc(measure, k, mc_params.n_steps, mc_params.n_samples, mc_params.seed)
+    est = lyapunov_mc(measure, k, n_steps, n_samples, seed)
     running = list(accumulate((abs(lyapunov_periodic(p, k) - est.value) for p in points), min))
     periods = [p.period for p in points]
     ends = [bisect_right(periods, budget) for budget in range(1, max_period + 1)]

@@ -3,10 +3,12 @@ codes."""
 
 import argparse
 import csv
+import dataclasses
 import hashlib
 import io
 import json
 import math
+import os
 import random
 import re
 import subprocess
@@ -14,7 +16,15 @@ import sys
 
 import pytest
 
-from sftlab import NotStochastic, NotTransitive, ParseError, SupportViolation, UnknownSubcommand, cli
+from sftlab import (
+    NotStochastic,
+    NotTransitive,
+    ParseError,
+    SupportViolation,
+    UnknownSubcommand,
+    cli,
+    in_exclusion_window,
+)
 from sftlab.cli import ResultTable, load_config, main, run_subcommand
 
 GOLDEN_CONFIG = {
@@ -267,6 +277,60 @@ def test_zeroset_table(tmp_path):
         assert row[1] < config.epsilon
 
 
+def full_uniform_config(tmp_path, grid, epsilon, mc):
+    # FULL_CONFIG with grid (count, k_min, k_max), epsilon and mc
+    # (n_steps, n_samples, seed) replaced
+    payload = json.loads(json.dumps(FULL_CONFIG))
+    payload["grid"] = dict(zip(("count", "k_min", "k_max"), grid))
+    payload["mc"] = dict(zip(("n_steps", "n_samples", "seed"), mc))
+    payload["epsilon"] = epsilon
+    return load_config(write_config(tmp_path, payload))
+
+
+def test_zeroset_flags_half_pi(tmp_path):
+    config = full_uniform_config(tmp_path, (1, math.pi / 2, math.pi / 2), 0.01, (20_000, 8, 31))
+    rows = run_subcommand("zeroset", config).rows
+    assert len(rows) == 1
+    k, value, _, flag = rows[0]
+    assert k == math.pi / 2 and value < 0.01 and flag is True
+
+
+def test_zeroset_epsilon_zero_is_empty(tmp_path):
+    config = full_uniform_config(tmp_path, (3, 0.5, math.pi / 2), 0.0, (2000, 8, 31))
+    assert run_subcommand("zeroset", config).rows == []
+
+
+def test_zeroset_annotation(tmp_path):
+    # every estimate is below 10, so every grid point is a row: flagged near
+    # 0 and pi/2, not at the midpoint 0.7999
+    config = full_uniform_config(tmp_path, (3, 0.019, math.pi / 2 + 0.01), 10.0, (2000, 8, 31))
+    rows = run_subcommand("zeroset", config).rows
+    assert [r[3] for r in rows] == [True, False, True]
+    assert [r[0] for r in rows] == config.grid.points() == [0.019, rows[1][0], math.pi / 2 + 0.01]
+
+
+def test_zeroset_on_an_empty_grid(tmp_path):
+    # load_config refuses a grid of count 0, so the loaded grid is replaced
+    config = full_uniform_config(tmp_path, (1, 1.0, 1.0), 0.01, (1000, 4, 3))
+    config = dataclasses.replace(config, grid=cli.GridSpec(0, 1.0, 1.0))
+    assert run_subcommand("zeroset", config).rows == []
+
+
+def test_zeroset_rows_are_the_lyapunov_rows_below_epsilon(tmp_path):
+    # epsilon at the median estimate: the rows strictly below it are kept
+    # and the median's own row is not; halfwidth 0.3 flags k = 0.3 only
+    config = load_config(write_config(tmp_path, GOLDEN_CONFIG))
+    epsilon = sorted(r[1] for r in run_subcommand("lyapunov", config).rows)[2]
+    config = dataclasses.replace(config, epsilon=epsilon, exclusion_halfwidth=0.3)
+    expected = [
+        (k, value, stderr, in_exclusion_window(k, 0.3))
+        for k, value, stderr, *_ in run_subcommand("lyapunov", config).rows
+        if value < epsilon
+    ]
+    assert run_subcommand("zeroset", config).rows == expected
+    assert [(r[0], r[3]) for r in expected] == [(0.3, True), (2.8, False)]  # the median is k = 0.925
+
+
 def test_kalinin_table(tmp_path):
     config = load_config(write_config(tmp_path, FULL_CONFIG))
     table = run_subcommand("kalinin", config, k=0.9)
@@ -444,6 +508,24 @@ def test_main_output_into_a_missing_directory_exits_2(tmp_path, capsys):
     assert not out.parent.exists()
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["bands", "--config=--"], ["periodic", "--config", "config.json", "--output=--"]],
+    ids=" ".join,
+)
+def test_a_dash_dash_flag_value_is_a_usage_error(tmp_path, capsys, monkeypatch, argv):
+    # the argparse of Python 3.10 and 3.11 reads --flag=-- as an empty list,
+    # which once reached open() (a traceback) or meant stdout
+    write_config(tmp_path, FULL_CONFIG)
+    monkeypatch.chdir(tmp_path)
+    code, out, err = outcome(capsys, main, argv)
+    assert (code, out) == (2, "")
+    flag = argv[-1].split("=")[0]
+    assert err.startswith("usage: sftlab ") and "Traceback" not in err
+    assert err.endswith(f"error: argument {flag}: expected one argument\n")
+    assert os.listdir(tmp_path) == ["config.json"]
+
+
 def test_main_exit_code_config_error(tmp_path, capsys):
     bad = json.loads(json.dumps(GOLDEN_CONFIG))
     bad["markov"]["transition"] = [[1.0, 0.0], [1.0, 0.0]]
@@ -590,7 +672,7 @@ PARSER_ARGVS = [
     ["zeroset", "--config", "c", "--output"],
     ["verify-graph", "--config", "c", "--k", ""],
     ["bands", "--config=--json", "--json"],
-    ["bands", "--config=--"],  # argparse (3.11) reads the value as []
+    ["bands", "--config=--"],  # argparse (3.11) reads [], which _Parser refuses
     ["verify-graph", "--config", "c", "--k=-1.5"],
     # clean parses by the whole CLI: a repeated or abbreviated flag
     ["periodic", "--config", "a", "--config", "b"],

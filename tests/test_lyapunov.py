@@ -1,5 +1,6 @@
 """Exponent estimators: periodic closed forms, Monte-Carlo statistics and
-determinism, zero-set scanning and the periodic-approximation diagnostic."""
+determinism, the exclusion windows and the periodic-approximation
+diagnostic."""
 
 import itertools
 import math
@@ -9,7 +10,6 @@ import numpy as np
 import pytest
 
 from sftlab import (
-    McParams,
     PeriodicPoint,
     ScaledMat2,
     Word,
@@ -25,7 +25,6 @@ from sftlab import (
     scaled_from,
     stationary_markov,
     validate_spec,
-    zero_set_scan,
 )
 import sftlab.lyapunov as lyapunov_module
 from sftlab.lyapunov import _block_slots, _mc_rates, _word_steps
@@ -527,7 +526,6 @@ def test_mc_gathers_contiguous_energy_rows(monkeypatch):
 
 def test_mc_empty_grid():
     assert lyapunov_mc_grid(GOLDEN_HALF, [], 1000, 4, 3) == []
-    assert zero_set_scan(GOLDEN_HALF, [], 0.01, McParams(1000, 4, 3)) == []
 
 
 def _recursion_rates(measure, k, n_steps, n_samples, seed):
@@ -588,27 +586,7 @@ def test_rate_scale_invariance():
         assert growth_rate(shifted, 200) == pytest.approx(base, rel=1e-12, abs=1e-12)
 
 
-# --------------------------------------------------------------- zero set
-
-
-def test_zero_set_scan_flags_half_pi():
-    hits = zero_set_scan(FULL_UNIFORM, [math.pi / 2], 0.01, McParams(20_000, 8, 31))
-    assert len(hits) == 1
-    assert hits[0].in_exclusion_window
-    assert hits[0].estimate.value < 0.01
-
-
-def test_zero_set_scan_epsilon_zero_is_empty():
-    hits = zero_set_scan(FULL_UNIFORM, [0.5, 1.0, math.pi / 2], 0.0, McParams(2000, 8, 31))
-    assert hits == []
-
-
-def test_zero_set_scan_annotation():
-    hits = zero_set_scan(
-        FULL_UNIFORM, [0.019, 1.0, math.pi / 2 + 0.01], 10.0, McParams(2000, 8, 31)
-    )
-    assert [h.in_exclusion_window for h in hits] == [True, False, True]
-    assert [h.k for h in hits] == [0.019, 1.0, math.pi / 2 + 0.01]
+# -------------------------------------------------------- exclusion windows
 
 
 def test_exclusion_window_predicate():
@@ -624,33 +602,30 @@ def test_exclusion_window_predicate():
 
 def test_kalinin_gap_fixed_points_only():
     # with only fixed points available the gap is the estimate itself
-    mc = McParams(5000, 8, 13)
     est = lyapunov_mc(FULL_UNIFORM, 0.9, 5000, 8, 13)
-    gap = kalinin_profile(FULL_UNIFORM, 0.9, 1, mc)[-1]
+    gap = kalinin_profile(FULL_UNIFORM, 0.9, 1, 5000, 8, 13)[-1]
     assert gap == abs(est.value)
 
 
 def test_kalinin_gap_inside_all_bands():
     # k = 0.3 lies inside every periodic band up to period 4, so all
     # periodic exponents vanish and the gap equals the estimate
-    mc = McParams(5000, 8, 17)
     est = lyapunov_mc(FULL_UNIFORM, 0.3, 5000, 8, 17)
-    gap = kalinin_profile(FULL_UNIFORM, 0.3, 4, mc)[-1]
+    gap = kalinin_profile(FULL_UNIFORM, 0.3, 4, 5000, 8, 17)[-1]
     assert gap == abs(est.value)
 
 
 def test_kalinin_gap_small_at_half_pi():
     # at the cancellation energy the estimate is pure finite-n noise of
     # order 1/sqrt(n_steps), and the periodic exponents vanish
-    mc = McParams(50_000, 8, 19)
-    gap = kalinin_profile(FULL_UNIFORM, math.pi / 2, 2, mc)[-1]
+    gap = kalinin_profile(FULL_UNIFORM, math.pi / 2, 2, 50_000, 8, 19)[-1]
     assert gap < 6e-3
 
 
 def test_kalinin_gap_shrinks_with_more_periods():
-    mc = McParams(20_000, 16, 29)
+    mc = (20_000, 16, 29)
     k = 1.2
-    gaps = [kalinin_profile(FULL_UNIFORM, k, mp, mc)[-1] for mp in (1, 2, 4)]
+    gaps = [kalinin_profile(FULL_UNIFORM, k, mp, *mc)[-1] for mp in (1, 2, 4)]
     assert gaps[1] <= gaps[0] + 1e-12
     assert gaps[2] <= gaps[1] + 1e-12
 
@@ -661,36 +636,35 @@ def test_kalinin_profile_rejects_empty_budget_before_sampling(monkeypatch):
 
     monkeypatch.setattr("sftlab.lyapunov.lyapunov_mc", no_sampling)
     with pytest.raises(ValueError, match="max_period"):
-        kalinin_profile(FULL_UNIFORM, 1.0, 0, McParams(100_000, 100, 1))
+        kalinin_profile(FULL_UNIFORM, 1.0, 0, 100_000, 100, 1)
 
 
 def test_kalinin_profile_entries_are_gaps_per_budget():
-    mc = McParams(5000, 8, 37)
+    mc = (5000, 8, 37)
     for measure, k in ((FULL_UNIFORM, 1.2), (GOLDEN_HALF, 0.6)):
-        profile = kalinin_profile(measure, k, 5, mc)
+        profile = kalinin_profile(measure, k, 5, *mc)
         for mp in range(1, 6):
-            assert profile[:mp] == kalinin_profile(measure, k, mp, mc)
+            assert profile[:mp] == kalinin_profile(measure, k, mp, *mc)
 
 
 def test_kalinin_profile_is_the_min_over_each_budget():
     # the running minimum equals the min over the points of each budget
     # taken one budget at a time, bit for bit
-    mc = McParams(5000, 8, 37)
+    mc = (5000, 8, 37)
     for measure, k in ((FULL_UNIFORM, 2.0), (GOLDEN_HALF, 1.2), (THREE_MARKOV, 2.7)):
         points = enumerate_periodic_points(measure.spec, 7)
-        est = lyapunov_mc(measure, k, mc.n_steps, mc.n_samples, mc.seed)
+        est = lyapunov_mc(measure, k, *mc)
         gaps = [abs(lyapunov_periodic(p, k) - est.value) for p in points]
         expected = [
             min(g for p, g in zip(points, gaps) if p.period <= budget) for budget in range(1, 8)
         ]
-        assert kalinin_profile(measure, k, 7, mc) == expected
+        assert kalinin_profile(measure, k, 7, *mc) == expected
 
 
 def test_kalinin_profile_without_fixed_points():
     # the 2-cycle shift has no point of period 1: that budget is the minimum
     # over no points, and the period-2 point (1, 2) sets every later entry
-    mc = McParams(2000, 4, 3)
-    profile = kalinin_profile(TWO_CYCLE, 1.0, 4, mc)
+    profile = kalinin_profile(TWO_CYCLE, 1.0, 4, 2000, 4, 3)
     est = lyapunov_mc(TWO_CYCLE, 1.0, 2000, 4, 3)
     gap = abs(lyapunov_periodic(PeriodicPoint.from_letters((1, 2)), 1.0) - est.value)
     assert profile == [math.inf, gap, gap, gap]

@@ -22,7 +22,6 @@ PUBLIC_NAMES = [
     "LyapunovEstimate",
     "MarkovMeasure",
     "Mat2",
-    "McParams",
     "NotStochastic",
     "NotTransitive",
     "ParseError",
@@ -35,7 +34,6 @@ PUBLIC_NAMES = [
     "UnknownSubcommand",
     "VertexData",
     "Word",
-    "ZeroSetHit",
     "a_matrix",
     "band_set",
     "canonical_cos",
@@ -61,7 +59,6 @@ PUBLIC_NAMES = [
     "stationary_markov",
     "validate_spec",
     "verify_corollary",
-    "zero_set_scan",
 ]
 
 
