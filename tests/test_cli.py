@@ -159,6 +159,42 @@ def test_load_config_rejects_bad_fields(tmp_path, section, key, value, match):
         load_config(write_config(tmp_path, bad))
 
 
+# every key of the grid, mc and bands sections with its type, in the order
+# load_config checks them
+SECTION_KEYS = [
+    ("grid", "count", "int"), ("grid", "k_min", "float"), ("grid", "k_max", "float"),
+    ("mc", "n_steps", "int"), ("mc", "n_samples", "int"), ("mc", "seed", "int"),
+    ("bands", "grid_points", "int"), ("bands", "tol", "float"), ("bands", "max_period", "int"),
+]
+
+
+@pytest.mark.parametrize("section, key, kind", SECTION_KEYS)
+def test_load_config_names_a_missing_or_mistyped_section_key(tmp_path, section, key, kind):
+    missing = json.loads(json.dumps(GOLDEN_CONFIG))
+    del missing[section][key]
+    with pytest.raises(ParseError, match=rf"^{section}\.{key}: missing$"):
+        load_config(write_config(tmp_path, missing))
+    bad = json.loads(json.dumps(GOLDEN_CONFIG))
+    bad[section][key] = "1"
+    with pytest.raises(ParseError, match=rf"^{section}\.{key}: expected {kind}, got str$"):
+        load_config(write_config(tmp_path, bad))
+
+
+def test_load_config_checks_the_section_keys_in_order(tmp_path):
+    bad = json.loads(json.dumps(GOLDEN_CONFIG))
+    for section, key, _ in SECTION_KEYS:
+        bad[section][key] = "1"
+    named = []
+    for _ in SECTION_KEYS:
+        with pytest.raises(ParseError) as info:
+            load_config(write_config(tmp_path, bad))
+        section, key = str(info.value).split(":")[0].split(".")
+        named.append((section, key))
+        bad[section][key] = GOLDEN_CONFIG[section][key]
+    assert named == [(section, key) for section, key, _ in SECTION_KEYS]
+    load_config(write_config(tmp_path, bad))
+
+
 # every float field, set to a bare NaN, Infinity or -Infinity token, which
 # json.load reads as a float: exit 2 before any computation starts
 @pytest.mark.parametrize("section, key", [("grid", "k_min"), ("grid", "k_max"), ("bands", "tol"),
@@ -526,6 +562,15 @@ def test_a_dash_dash_flag_value_is_a_usage_error(tmp_path, capsys, monkeypatch, 
     assert os.listdir(tmp_path) == ["config.json"]
 
 
+@pytest.mark.parametrize("argv", [["--output", ""], ["--output="]], ids=" ".join)
+def test_an_empty_output_path_exits_2(tmp_path, capsys, argv):
+    # an empty path is a path that cannot be opened, not a request for stdout
+    path = write_config(tmp_path, FULL_CONFIG)
+    code, out, err = outcome(capsys, main, ["periodic", "--config", path, *argv])
+    assert (code, out) == (2, "")
+    assert err.startswith("error:")
+
+
 def test_main_exit_code_config_error(tmp_path, capsys):
     bad = json.loads(json.dumps(GOLDEN_CONFIG))
     bad["markov"]["transition"] = [[1.0, 0.0], [1.0, 0.0]]
@@ -617,7 +662,7 @@ def test_main_calls_in_one_process_are_independent(tmp_path, capsys):
 
 
 # SHA-256 of `sftlab --help` and of each `sftlab NAME --help` at COLUMNS=80,
-# recorded before cli._add_arguments built the arguments from cli._OPTIONS
+# recorded before the arguments were built from cli._OPTIONS
 # (argparse's help format as of Python 3.10 and 3.11)
 HELP_SHA256 = {
     "--help": "d80479570af6a06cf6f5f8b4da66b80d740f1871157a027e1e03c832d2bb1e0a",
@@ -728,7 +773,7 @@ def test_parse_args_matches_the_whole_cli_on_random_argvs(capsys, monkeypatch):
         argv = [rng.choice(cli.SUBCOMMANDS) if rng.random() < 0.9 else rng.choice(vocabulary)]
         # flags in random order, mostly the subcommand's own with the
         # required ones among them, and mostly values that convert
-        own = cli._flags(argv[0]) if argv[0] in cli.SUBCOMMANDS and rng.random() < 0.7 else flags
+        own = cli._FLAGS[argv[0]] if argv[0] in cli.SUBCOMMANDS and rng.random() < 0.7 else flags
         chosen = rng.sample(own, rng.randint(0, 3))
         if rng.random() < 0.8:
             chosen = ["--config"] + [f for f in chosen if f != "--config"]
