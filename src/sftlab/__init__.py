@@ -3,7 +3,6 @@ the SL(2,R) transfer cocycle of quantum graphs indexed by a subshift of
 finite type."""
 
 from .cocycle import (
-    IDENTITY,
     Mat2,
     ScaledMat2,
     a_matrix,
@@ -24,7 +23,7 @@ from .errors import (
     SupportViolation,
     UnknownSubcommand,
 )
-from .graph_model import EdgeSolution, VertexData, edge_derivatives, kirchhoff_residual, verify_corollary
+from .graph_model import EdgeSolution, VertexData, kirchhoff_residual, verify_corollary
 from .lyapunov import (
     LyapunovEstimate,
     in_exclusion_window,

@@ -47,7 +47,7 @@ class Mat2(NamedTuple):
         return math.sqrt((q + math.sqrt(max(q * q - 4.0 * d * d, 0.0))) / 2.0)
 
 
-IDENTITY = Mat2(1.0, 0.0, 0.0, 1.0)
+_IDENTITY = Mat2(1.0, 0.0, 0.0, 1.0)
 
 
 def mat_mul(m: Mat2, n: Mat2) -> Mat2:
@@ -155,7 +155,7 @@ def cocycle_product(k: float, word: Word) -> ScaledMat2:
         raise ValueError("word must cover index -1 (n >= 0)")
     if word.first_index > -1:
         raise ValueError("word must cover index -1")
-    m, a1, a2 = IDENTITY, 0.0, 0.0  # the product is m with column j times e**aj
+    m, a1, a2 = _IDENTITY, 0.0, 0.0  # the product is m with column j times e**aj
     for j in range(n):
         m = mat_mul(a_matrix(k, word.letter(j - 1), word.letter(j)), m)
         c1, c2 = max(abs(m.a11), abs(m.a21)), max(abs(m.a12), abs(m.a22))

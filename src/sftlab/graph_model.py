@@ -33,13 +33,10 @@ class EdgeSolution:
         return (math.sin(self.k * (1.0 - x)) / s) * self.phi0 + (math.sin(self.k * x) / s) * self.phi1
 
 
-def edge_derivatives(e: EdgeSolution) -> tuple[float, float]:
-    """(phi'(0), phi'(1)) = (k/sin k) * (-cos k phi0 + phi1, -phi0 + cos k phi1)."""
-    return _derivatives(e.k / math.sin(e.k), math.cos(e.k), e.phi0, e.phi1)
-
-
 def _derivatives(f: float, c: float, phi0: float, phi1: float) -> tuple[float, float]:
-    # f = k / sin k and c = cos k, computed once per energy by the caller
+    """(phi'(0), phi'(1)) = f * (-c phi0 + phi1, -phi0 + c phi1) of the
+    :class:`EdgeSolution` (k, phi0, phi1), with f = k / sin k and c = cos k
+    computed once per energy by the caller."""
     return f * (-c * phi0 + phi1), f * (-phi0 + c * phi1)
 
 
@@ -57,11 +54,6 @@ class VertexData:
             raise ValueError(
                 f"need {len(self.word) + 1} vertex values for {len(self.word)} edges, got {len(self.values)}"
             )
-
-    def value_at(self, n: int) -> float:
-        if not (self.word.first_index <= n <= self.word.last_index + 1):
-            raise IndexError(f"vertex {n} outside window")
-        return self.values[n - self.word.first_index]
 
 
 def kirchhoff_residual(v: VertexData, k: float) -> list[float]:
@@ -85,7 +77,4 @@ def verify_corollary(word: Word, k: float, u0: float, um1: float) -> bool:
     balance vanishes at every interior vertex (within 1e-9, scale-normalized)."""
     values = solve_difference(k, word, u0, um1)
     data = VertexData(word, tuple(values))
-    residuals = kirchhoff_residual(data, k)
-    if not residuals:
-        return True
-    return max(abs(r) for r in residuals) < 1e-9
+    return max(map(abs, kirchhoff_residual(data, k)), default=0.0) < 1e-9

@@ -27,11 +27,6 @@ class SubshiftSpec:
     alphabet_size: int
     allowed: tuple[tuple[bool, ...], ...]
 
-    def allows(self, prev: int, cur: int) -> bool:
-        if not (1 <= prev <= self.alphabet_size and 1 <= cur <= self.alphabet_size):
-            raise ValueError(f"letters must lie in 1..{self.alphabet_size}, got ({prev}, {cur})")
-        return self.allowed[prev - 1][cur - 1]
-
     @property
     def letters(self) -> range:
         return range(1, self.alphabet_size + 1)
@@ -145,7 +140,7 @@ def _is_primitive(letters: tuple[int, ...]) -> bool:
 
 
 def _canonical_rotation(letters: tuple[int, ...]) -> tuple[int, ...]:
-    return min(letters[r:] + letters[:r] for r in range(len(letters)))
+    return min((letters[r:] + letters[:r] for r in range(len(letters))), default=letters)
 
 
 def _is_lyndon(letters: tuple[int, ...]) -> bool:

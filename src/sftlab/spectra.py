@@ -58,7 +58,12 @@ def _trace_poly(letters: tuple[int, ...]) -> list[int]:
     each step matrix of :func:`sftlab.cocycle.a_matrix` is sqrt(cur/prev) / cur
     times this one, and around a whole cycle the sqrt(cur/prev) factors
     telescope to 1, so the trace is this polynomial divided by the product of
-    the letters."""
+    the letters.  Every rotation of the cycle, and its reversal, give the
+    same polynomial, of the parity of the period n: with D = diag(1, -1) and
+    B(p, q) the matrix above for (prev, cur) = (p, q), B(q, p) = D B(p, q)^T D,
+    so the reversed cycle's product is D M^T D with M the product of a
+    rotated cycle, a conjugate of the original, and B(-c) = -D B(c) D gives
+    P(-c) = (-1)**n P(c)."""
     m11, m12, m21, m22 = [1], [0], [0], [1]
     prev = letters[-1]
     for cur in letters:
@@ -325,8 +330,8 @@ def band_set(p: PeriodicPoint, grid_points: int = 2001, tol: float = 1e-10) -> B
     {c in [-1, 1] : F(c) <= 0} with F = P**2 - 4 W**2.  By Floquet theory
     the 2n roots of F are real, lie in [-1, 1] and have multiplicity at most
     two (Teschl, Jacobi Operators and Completely Integrable Nonlinear
-    Lattices, 2000, ch. 7).  F is even: the step matrix at -c is -D M D with
-    D = diag(1, -1), so P(-c) = (-1)**n P(c).  The double roots of F, the
+    Lattices, 2000, ch. 7).  F is even, as P(-c) = (-1)**n P(c)
+    (:func:`_trace_poly`).  The double roots of F, the
     roots of gcd(F, F'), are touching bands (closed gaps) and stay inside
     one interval; the band edges are the roots of H = F / gcd(F, F')**2,
     where F changes sign.  Any common factor of F and P divides 4 W**2, a

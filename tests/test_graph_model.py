@@ -11,7 +11,6 @@ from sftlab import (
     SingularEnergy,
     VertexData,
     Word,
-    edge_derivatives,
     kirchhoff_residual,
     sample_window,
     solve_difference,
@@ -19,6 +18,7 @@ from sftlab import (
     validate_spec,
     verify_corollary,
 )
+from sftlab.graph_model import _derivatives
 
 GOLDEN = validate_spec(2, [(2, 2)])
 GOLDEN_MEASURE = stationary_markov(GOLDEN, [[0.5, 0.5], [1.0, 0.0]])
@@ -28,7 +28,7 @@ def test_edge_derivatives_cosine_solution():
     # phi(x) = cos(kx): phi'(0) = 0, phi'(1) = -k sin k
     for k in (0.4, 1.0, 2.8):
         e = EdgeSolution(k, 1.0, math.cos(k))
-        d0, d1 = edge_derivatives(e)
+        d0, d1 = _derivatives(k / math.sin(k), math.cos(k), e.phi0, e.phi1)
         assert d0 == pytest.approx(0.0, abs=1e-12)
         assert d1 == pytest.approx(-k * math.sin(k), abs=1e-12)
 
@@ -37,7 +37,7 @@ def test_edge_derivatives_sine_solution():
     # phi(x) = sin(kx): phi'(0) = k, phi'(1) = k cos k
     for k in (0.4, 1.0, 2.8):
         e = EdgeSolution(k, 0.0, math.sin(k))
-        d0, d1 = edge_derivatives(e)
+        d0, d1 = _derivatives(k / math.sin(k), math.cos(k), e.phi0, e.phi1)
         assert d0 == pytest.approx(k, abs=1e-12)
         assert d1 == pytest.approx(k * math.cos(k), abs=1e-12)
 
@@ -114,14 +114,14 @@ def test_kirchhoff_equivalence_with_difference_equation():
     res = kirchhoff_residual(data, k)
     umax = max(abs(u) for u in values)
     c = math.cos(k)
+
+    def value(n):
+        return data.values[n - word.first_index]
+
     for i, n in enumerate(range(word.first_index + 1, word.last_index + 1)):
         wn = word.letter(n)
         wn1 = word.letter(n - 1)
-        direct = (
-            wn * data.value_at(n + 1)
-            + wn1 * data.value_at(n - 1)
-            - (wn + wn1) * c * data.value_at(n)
-        ) / umax
+        direct = (wn * value(n + 1) + wn1 * value(n - 1) - (wn + wn1) * c * value(n)) / umax
         assert res[i] == pytest.approx(direct, rel=1e-9, abs=1e-12)
 
 
@@ -145,17 +145,10 @@ def test_verify_corollary_zero_data():
     assert verify_corollary(word, 1.0, 0.0, 0.0)
 
 
-def test_vertex_value_outside_window():
-    data = VertexData(Word((1, 2), -1), (1.0, 2.0, 3.0))
-    assert data.value_at(-1) == 1.0 and data.value_at(1) == 3.0
-    for n in (-2, 2):
-        with pytest.raises(IndexError, match=f"vertex {n} outside window"):
-            data.value_at(n)
-
-
 def test_kirchhoff_residual_matches_the_per_edge_construction_bit_for_bit():
     # kirchhoff_residual computes sin k and cos k once per call; each residual
-    # equals the one built from edge_derivatives(EdgeSolution(...)) per edge
+    # equals the one built from each edge's own (phi'(0), phi'(1)), with
+    # k / sin k and cos k recomputed per edge
     rng = random.Random(20261020)
     ks = [rng.uniform(0.01, math.pi - 0.01) for _ in range(20)]
     ks += [rng.uniform(math.pi / 2, math.pi) for _ in range(10)]
@@ -165,6 +158,6 @@ def test_kirchhoff_residual_matches_the_per_edge_construction_bit_for_bit():
         u = tuple(rng.uniform(-1e3, 1e3) * rng.choice((1.0, 1e-8)) for _ in range(len(word) + 1))
         w = word.letters
         scale = (k / abs(math.sin(k))) * max(max(map(abs, u)), 1e-300)
-        d = [edge_derivatives(EdgeSolution(k, u[i], u[i + 1])) for i in range(len(w))]
+        d = [_derivatives(k / math.sin(k), math.cos(k), u[i], u[i + 1]) for i in range(len(w))]
         reference = [(w[i] * d[i][0] - w[i - 1] * d[i - 1][1]) / scale for i in range(1, len(w))]
         assert kirchhoff_residual(VertexData(word, u), k) == reference

@@ -5,6 +5,7 @@ diagnostic."""
 import itertools
 import math
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -194,6 +195,28 @@ def test_mc_bias_near_zero_energy_is_order_one_over_n():
     r_n = lyapunov_mc(FULL_UNIFORM, 0.05, n, 100, 20260811).value
     r_4n = lyapunov_mc(FULL_UNIFORM, 0.05, 4 * n, 100, 20260811).value
     assert 2.5 <= 4.0 / 3.0 * n * (r_n - r_4n) <= 4.5
+
+
+@pytest.mark.parametrize(
+    "measure, a", [(FULL_UNIFORM, Fraction(1, 16)), (GOLDEN_HALF, Fraction(3, 160))], ids=["full", "golden"]
+)
+def test_mc_richardson_rate_near_zero_energy_reads_the_k_squared_law(measure, a):
+    # ROADMAP items 7 and 15: gamma = a k**2 + O(k**4) near k = 0 (Matsuda &
+    # Ishii 1970), with a exact: 1/16 on the uniform full shift, 3/160 on
+    # the golden mean.  Each lane shares its stream prefix between n and
+    # 4 n steps, so (4 r_4n - r_n) / 3 per lane cancels the b / n bias of
+    # test_mc_bias_near_zero_energy_is_order_one_over_n and must read the
+    # law within 3 stderr, where the raw r_n misses it by more
+    k, n = 0.05, 100_000
+    law = float(a) * k * k
+    r_n = _mc_rates(measure, [k], n, 100, 20260811)[0]
+    r_4n = _mc_rates(measure, [k], 4 * n, 100, 20260811)[0]
+
+    def z(rates):
+        return (rates.mean() - law) / (rates.std(ddof=1) / math.sqrt(len(rates)))
+
+    assert abs(z((4.0 * r_4n - r_n) / 3.0)) < 3.0
+    assert abs(z(r_n)) > 3.0
 
 
 def test_mc_nonnegative():

@@ -18,7 +18,6 @@ PUBLIC_NAMES = [
     "BandSet",
     "EdgeSolution",
     "EmptySubshift",
-    "IDENTITY",
     "LyapunovEstimate",
     "MarkovMeasure",
     "Mat2",
@@ -38,7 +37,6 @@ PUBLIC_NAMES = [
     "band_set",
     "canonical_cos",
     "cocycle_product",
-    "edge_derivatives",
     "enumerate_periodic_points",
     "exceptional_candidates",
     "gaps",

@@ -50,7 +50,7 @@ def brute_force_cycles(spec, max_period):
     for n in range(1, max_period + 1):
         reps = set()
         for w in itertools.product(range(1, spec.alphabet_size + 1), repeat=n):
-            if any(not spec.allows(w[i], w[(i + 1) % n]) for i in range(n)):
+            if any(not spec.allowed[w[i] - 1][w[(i + 1) % n] - 1] for i in range(n)):
                 continue
             rotations = {w[r:] + w[:r] for r in range(n)}
             if len(rotations) < n:
@@ -173,7 +173,7 @@ def test_validate_spec_accepts_large_ring():
     n = 200
     spec = validate_spec(n, [(i, j) for i in range(1, n + 1) for j in range(1, n + 1) if j != i % n + 1])
     assert sum(map(sum, spec.allowed)) == n
-    assert all(spec.allows(i, i % n + 1) for i in spec.letters)
+    assert all(spec.allowed[i - 1][i % n] for i in spec.letters)
 
 
 def test_validate_spec_rejects_bad_input():
@@ -312,7 +312,7 @@ def test_enumerate_counts_match_trace_formula(spec, max_period):
 def test_enumerated_cycles_are_cyclically_admissible(spec, max_period):
     for p in enumerate_periodic_points(spec, max_period):
         w = p.cycle.letters
-        assert all(spec.allows(w[i], w[(i + 1) % p.period]) for i in range(p.period))
+        assert all(spec.allowed[w[i] - 1][w[(i + 1) % p.period] - 1] for i in range(p.period))
 
 
 def test_rotation_class_count():
@@ -322,7 +322,7 @@ def test_rotation_class_count():
         n = 5
         with_rotations = 0
         for w in itertools.product((1, 2), repeat=n):
-            if any(not spec.allows(w[i], w[(i + 1) % n]) for i in range(n)):
+            if any(not spec.allowed[w[i] - 1][w[(i + 1) % n] - 1] for i in range(n)):
                 continue
             if len({w[r:] + w[:r] for r in range(n)}) == n:
                 with_rotations += 1
@@ -386,13 +386,6 @@ def test_word_window_and_letter():
         w.letter(3)
 
 
-def test_allows_rejects_letters_outside_alphabet():
-    assert GOLDEN.allows(1, 2) and not GOLDEN.allows(2, 2)
-    for prev, cur in ((0, 1), (1, 3), (3, 3)):
-        with pytest.raises(ValueError, match=r"letters must lie in 1\.\.2"):
-            GOLDEN.allows(prev, cur)
-
-
 def test_windows_reject_empty_and_uncovered_ranges():
     w = Word((1, 2, 1, 1), -1)
     with pytest.raises(ValueError, match="empty window requested"):
@@ -417,6 +410,8 @@ def test_periodic_point_rejects_letters_below_1(letters):
 def test_periodic_point_rejects_bad_shapes():
     with pytest.raises(ValueError, match="^empty cycle$"):
         PeriodicPoint(Word(()), 0)
+    with pytest.raises(ValueError, match="^empty cycle$"):
+        PeriodicPoint.from_letters(())
     with pytest.raises(ValueError, match=r"^period 3 != cycle length 2$"):
         PeriodicPoint(Word((1, 2)), 3)
     # a nonzero base index is moved to 0, not rejected

@@ -469,6 +469,24 @@ def test_gcd_with_p_prime_matches_gcd_with_f_prime():
         assert via_p in (via_f, [-x for x in via_f]), p.cycle.letters
 
 
+def test_trace_poly_is_invariant_under_rotation_and_reversal_and_has_the_period_parity():
+    # the trace of a cycle does not depend on where it starts or on its
+    # direction, and P(-c) = (-1)**n P(c): band_set keeps only H[::2]
+    rng = random.Random(20261020)
+    words = [tuple(rng.randint(1, a) for _ in range(n)) for n in range(1, 15) for a in (2, 3, 4) for _ in range(4)]
+    words += [
+        p.cycle.letters
+        for spec, max_period in [(FULL, 12), (GOLDEN, 14), (THREE, 6)]
+        for p in enumerate_periodic_points(spec, max_period)
+    ]
+    for w in words:
+        trace = _trace_poly(w)
+        assert _trace_poly(w[::-1]) == trace, w
+        for r in range(1, len(w)):
+            assert _trace_poly(w[r:] + w[:r]) == trace, (w, r)
+        assert not any(trace[len(w) - 1 :: -2]), w
+
+
 def c_domain_refine(h, lo, hi, e, tol):
     """Bisection on the signs of h itself at dyadic c."""
     s = _value(h, hi, e)
