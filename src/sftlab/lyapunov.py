@@ -5,10 +5,10 @@ The Monte-Carlo estimator runs ``n_samples`` independent windows of
 ``n_steps`` steps each.  Sample ``i`` is lane ``i`` of the lane walk in
 :mod:`sftlab.measure`, seeded with ``(seed, i)``: by the sampling contract its
 letters are those of ``sample_window(measure, -1, n_steps - 1, seed=(seed, i))``.
-It multiplies the per-step matrices with max-entry renormalization and
-reports
+It multiplies the per-step matrices, keeps one log scale per column of
+the running product, and reports
 
-    rate_i = (accumulated log scale + log spectral norm of the residual) / n_steps.
+    rate_i = (larger column log + log spectral norm of the residual) / n_steps.
 
 The L-step products of the admissible (L+1)-letter words are tabulated per
 energy from the single-step matrices, with L the longest length that has at
@@ -19,8 +19,9 @@ per chunk, the id of its word: the letter before the chunk and the chunk.
 So a whole block is 2**m word slots, its ids as they come.  Only a short
 last block has the r leftover letters of a partial chunk, one slot per
 single step, and identity padding up to a power of two.  The slots are
-multiplied as a balanced tree (later half on the left, renormalized every
-third level); the block's product then advances the running lane product.
+multiplied, unscaled, as a balanced tree (later half on the left) down to R
+roots of bounded entries, which advance the running lane product in time
+order; only that step divides each column by its max entry.
 Energies sit on the innermost axis of every kernel array, so gathering a
 slot copies one contiguous row of all energies.  Blocks are gathered in
 chunks of lanes with every energy, or of energies for one lane, of at most
@@ -54,9 +55,15 @@ from .spectra import monodromy_trace
 
 _WORD_TABLE_MAX = 512
 _WALK_POSITIONS_MAX = 1 << 16
-_ENTRY_BITS_MAX = 256  # log2 bound on entries before a tree renormalization
+_WORD_BITS_MAX = 32  # log2 bound on the entries of one word-table entry
+_ENTRY_BITS_MAX = 1000  # log2 bound on the entries of one tree root
 _GATHER_BUDGET = 1 << 18  # elements (2 MiB of float64) in one gathered block chunk
-_RENORM_LEVELS = 3
+
+
+def _step_bits(l: int) -> float:
+    """log2(2*sqrt(l) + 1): a step on l letters and its inverse have absolute
+    row sums below 2*sqrt(l) + 1, so n steps have entries below 2**(n * this)."""
+    return math.log2(2 * math.sqrt(l) + 1)
 
 
 def _word_steps(measure: MarkovMeasure) -> int:
@@ -68,16 +75,12 @@ def _word_steps(measure: MarkovMeasure) -> int:
 
     - the sampler's walk in chunks of L letters has l * nb**L positions
       (:func:`sftlab.measure._walk_size`), at most _WALK_POSITIONS_MAX = 2**16;
-    - a step's rows have absolute sums below 2*sqrt(l) + 1, and so do its
-      inverse's, so a word's entries stay below (2*sqrt(l) + 1)**L, and the
-      product of the 2**_RENORM_LEVELS = 8 words :func:`_tree_product`
-      multiplies before its first renormalization below
-      (2*sqrt(l) + 1)**(8L), which must stay at most 2**_ENTRY_BITS_MAX =
-      2**256, far inside double range (2e51 on the golden mean at L = 11).
+    - a word's entries stay below 2**(L * _step_bits(l)), which must stay at
+      most 2**_WORD_BITS_MAX = 2**32 (3e6 on the golden mean at L = 11).
 
     The second cap alone ends a near-deterministic shift, such as the
     2-cycle with nb = 1 and two words at every length (L = 16 there)."""
-    entry_bits = 2**_RENORM_LEVELS * math.log2(2 * math.sqrt(measure.spec.alphabet_size) + 1)
+    step_bits = _step_bits(measure.spec.alphabet_size)
     allowed = np.array(measure.spec.allowed, dtype=np.int64)
     ends = allowed.sum(axis=0)  # admissible 2-letter words by last letter
     length = 1
@@ -86,7 +89,7 @@ def _word_steps(measure: MarkovMeasure) -> int:
         if (
             ends.sum() > _WORD_TABLE_MAX
             or _walk_size(measure, length + 1) > _WALK_POSITIONS_MAX
-            or entry_bits * (length + 1) > _ENTRY_BITS_MAX
+            or step_bits * (length + 1) > _WORD_BITS_MAX
         ):
             return length
         length += 1
@@ -147,18 +150,17 @@ def _mul(a: np.ndarray, m: np.ndarray) -> np.ndarray:
     return out
 
 
-def _renormalize(mats: np.ndarray) -> np.ndarray:
-    """Divide stacked (a11, a12, a21, a22) entries in place by each matrix's
-    max absolute entry and return its log."""
-    mag = np.abs(mats).max(axis=0)
-    mats /= mag
-    return np.log(mag)
-
-
 def _advance(a: np.ndarray, m: np.ndarray, logs: np.ndarray) -> np.ndarray:
-    """a @ m renormalized by its max entry, whose log is added to logs in place."""
+    """a @ m with each column divided by its own max absolute entry, whose
+    log is added in place to that column's row of logs (2, lanes, n_k).  At
+    c = 0 the product is diagonal or antidiagonal, entries e**S and e**-S:
+    one scale for both columns would flush e**-S to 0 once S passes about
+    744 nats."""
     prod = _mul(a, m)
-    logs += _renormalize(prod)
+    cols = prod.reshape(2, 2, *prod.shape[1:])  # (row, column, ...)
+    mag = np.abs(cols).max(axis=0)
+    cols /= mag
+    logs += np.log(mag)
     return prod
 
 
@@ -197,20 +199,14 @@ def _block_slots(
     return slots
 
 
-def _tree_product(mats: np.ndarray, logs: np.ndarray) -> np.ndarray:
-    """Time-ordered product of the P slots of mats, shape (4, P, lanes, n_k) in
-    :func:`_block_slots` order (the cached :func:`_bit_reversal`), as a
+def _tree_product(mats: np.ndarray, roots: int) -> np.ndarray:
+    """Time-ordered products of the P slots of mats, shape (4, P, lanes, n_k)
+    in :func:`_block_slots` order (the cached :func:`_bit_reversal`), as a
     balanced tree along axis 1: each level multiplies the upper half (later
-    times) onto the lower half.  Every _RENORM_LEVELS levels below the root
-    each slot is divided by its max entry, whose logs are folded pairwise
-    over the slot axis and added to logs (lanes, n_k) in place; all of it is
-    elementwise per energy and lane (a numpy sum over the slot axis is not:
-    its order follows the array's shape).  Returns the root, (4, lanes, n_k).
-
-    Entries stay in range: below the first renormalization they are bounded
-    as in :func:`_word_steps`; after it a slot has max entry 1 and row sums at
-    most 2, so _RENORM_LEVELS further levels give row sums at most 2**8, and
-    the root, renormalized by :func:`_advance`, no more.
+    times) onto the lower half, unscaled, until ``roots`` products of P/roots
+    slots are left, shape (4, roots, lanes, n_k): the bit-reversed storage
+    leaves time-chunk t in row bitrev(t).  All of it is elementwise per
+    energy and lane; :func:`_mc_rates` picks roots to bound the entries.
 
     Slots in time order, paired odd onto even on strided views
     (``mats[:, 1::2]`` onto ``mats[:, ::2]``), give the same bits but run
@@ -218,29 +214,20 @@ def _tree_product(mats: np.ndarray, logs: np.ndarray) -> np.ndarray:
     at shape (4, 64, 10, 101), and :func:`_mc_rates` at the mc_scan shape
     (golden mean, 101 energies, 100 samples of 1e4 steps) 0.24 s against
     0.17-0.20 s."""
-    level = 0
-    while mats.shape[1] > 1:
+    while mats.shape[1] > roots:
         h = mats.shape[1] // 2
         mats = _mul(mats[:, h:], mats[:, :h])
-        level += 1
-        if level % _RENORM_LEVELS == 0 and h > 1:
-            lg = _renormalize(mats)
-            while len(lg) > 1:
-                lg = lg[len(lg) // 2 :] + lg[: len(lg) // 2]
-            logs += lg[0]
-    return mats[:, 0]
+    return mats
 
 
 def _chunks(n_k: int, n_lanes: int, slot_elements: int) -> Iterator[tuple[slice, list[slice]]]:
     """Runs of energies, each with its runs of lanes, whose gathered blocks
     hold at most _GATHER_BUDGET elements at slot_elements per energy and
-    lane: every energy with runs of lanes while one lane fits, else runs of
-    energies with one lane at a time.  An empty grid has no chunks."""
-    if n_k == 0:
-        return
-    per_lane = n_k * slot_elements
-    lane_run = max(1, _GATHER_BUDGET // per_lane)
-    k_run = n_k if per_lane <= _GATHER_BUDGET else max(1, _GATHER_BUDGET // slot_elements)
+    lane: as many energies as fit in one lane, then as many lanes as fit
+    with those, so every energy while one lane fits, else one lane at a
+    time.  An empty grid has no chunks."""
+    k_run = max(1, min(n_k, _GATHER_BUDGET // slot_elements))
+    lane_run = max(1, _GATHER_BUDGET // (k_run * slot_elements))
     lane_runs = [slice(s0, s0 + lane_run) for s0 in range(0, n_lanes, lane_run)]
     for k0 in range(0, n_k, k_run):
         yield slice(k0, k0 + k_run), lane_runs
@@ -259,16 +246,23 @@ def _mc_rates(
     padding up to a power of two, gathered from one combined table
     (admissible words | steps | identity) per energy; no letters are built
     for whole chunks.
-    :func:`_tree_product` multiplies the slots as a balanced tree and
-    :func:`_advance` applies the block's product to the running lane
-    product.  Tables, running product (4, n_samples, n_k) and logs
-    (n_samples, n_k) keep energies last, so a gathered slot is one contiguous
-    row of every energy; the rates are transposed once at the end.  The work
-    runs in chunks of lanes, or of energies, that keep each gathered array
-    within _GATHER_BUDGET elements; the association order depends only on the
-    block, so the chunks never change a bit of the result."""
+    :func:`_tree_product` multiplies the P slots, unscaled, down to
+    R = max(1, P // span) roots, and :func:`_advance`, the one place the
+    product is renormalized, applies them in time order to the running lane
+    product.  A root has entries below 2**(span * L * _step_bits(l)), and
+    span is the largest power of two that keeps this at most
+    2**_ENTRY_BITS_MAX = 2**1000 (R = 2 on the full and golden shifts): so
+    :func:`_mul`'s sums stay below 2**1001, and at c = 0 a root's small
+    entry, the inverse of its large one, stays above 2**-1000, a normal
+    double.  Tables, running product (4, n_samples, n_k) and column logs
+    (2, n_samples, n_k) keep energies last, so a gathered slot is one
+    contiguous row of every energy.  The work runs in chunks of lanes, or of
+    energies, that keep each gathered array within _GATHER_BUDGET elements;
+    the association order depends only on the block, so the chunks never
+    change a bit of the result."""
     l = measure.spec.alphabet_size
     length = _word_steps(measure)
+    span = 1 << (int(_ENTRY_BITS_MAX / (length * _step_bits(l))).bit_length() - 1)
     words, walk = _lane_walk(measure, [(int(seed), i) for i in range(n_samples)], n_steps + 1, length)
     steps = _step_table(measure, k_values)
     eye = np.zeros((4, 1, len(k_values)))
@@ -278,21 +272,26 @@ def _mc_rates(
 
     m = np.zeros((4, n_samples, len(k_values)))
     m[0] = m[3] = 1.0
-    logs = np.zeros((n_samples, len(k_values)))
+    logs = np.zeros((2, n_samples, len(k_values)))
 
     for b, ids in walk:
         slots = _block_slots(ids, b, words, l, step0, pad)
+        roots = max(1, len(slots) // span)
         for ks, lane_runs in _chunks(len(k_values), n_samples, 4 * len(slots)):
             sub = np.ascontiguousarray(table[:, :, ks])  # a copy only if the energies split
             for lanes in lane_runs:
-                mats = np.take(sub, slots[:, lanes], axis=1)
-                root = _tree_product(mats, logs[lanes, ks])
-                m[:, lanes, ks] = _advance(root, m[:, lanes, ks], logs[lanes, ks])
+                tree = _tree_product(np.take(sub, slots[:, lanes], axis=1), roots)
+                prod = m[:, lanes, ks]
+                for t in _bit_reversal(roots):
+                    prod = _advance(tree[:, t], prod, logs[:, lanes, ks])
+                m[:, lanes, ks] = prod
 
+    top = logs.max(axis=0)
+    m *= np.exp(logs - top)[[0, 1, 0, 1]]  # column j by exp(logs[j] - top)
     q = m[0] * m[0] + m[1] * m[1] + m[2] * m[2] + m[3] * m[3]
     det = m[0] * m[3] - m[1] * m[2]
     smax = np.sqrt((q + np.sqrt(np.maximum(q * q - 4.0 * det * det, 0.0))) / 2.0)
-    return np.ascontiguousarray(((logs + np.log(smax)) / n_steps).T)
+    return np.ascontiguousarray(((top + np.log(smax)) / n_steps).T)
 
 
 def lyapunov_mc(

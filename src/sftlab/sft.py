@@ -77,10 +77,8 @@ class Word:
 class PeriodicPoint:
     """A primitive admissible cycle in canonical (lexicographically minimal)
     rotation; stands for the bi-infinite periodic sequence repeating it.
-
-    Such a cycle is a Lyndon word, which one linear pass accepts
-    (:func:`_is_lyndon`); only a rejected cycle goes through the primitivity
-    and rotation checks, so each rejection names its own reason."""
+    The primitivity check runs before the rotation check, so each rejection
+    names its own reason."""
 
     cycle: Word
     period: int
@@ -96,18 +94,18 @@ class PeriodicPoint:
             raise ValueError(f"cycle {letters}: letters must be >= 1")
         if self.period != n:
             raise ValueError(f"period {self.period} != cycle length {n}")
-        if not _is_lyndon(letters):
-            if not _is_primitive(letters):
-                raise ValueError(f"cycle {letters} is a repetition of a shorter cycle")
-            if letters != _canonical_rotation(letters):
-                raise ValueError(f"cycle {letters} is not in canonical rotation")
+        if not _is_primitive(letters):
+            raise ValueError(f"cycle {letters} is a repetition of a shorter cycle")
+        if letters != _canonical_rotation(letters):
+            raise ValueError(f"cycle {letters} is not in canonical rotation")
 
     @classmethod
     def _certified(cls, letters: tuple[int, ...]) -> "PeriodicPoint":
         """The point of a tuple of built-in ints already known to be a Lyndon
         word, as :func:`_lyndon_words` yields them: equal and hash-equal to
         ``PeriodicPoint(Word(letters, 0), len(letters))``, but built without
-        the int normalization, the base-index check or :func:`_is_lyndon`."""
+        the int normalization, the base-index check or the primitivity and
+        rotation checks."""
         cycle = object.__new__(Word)
         object.__setattr__(cycle, "letters", letters)
         object.__setattr__(cycle, "base_index", 0)
@@ -141,22 +139,6 @@ def _is_primitive(letters: tuple[int, ...]) -> bool:
 
 def _canonical_rotation(letters: tuple[int, ...]) -> tuple[int, ...]:
     return min((letters[r:] + letters[:r] for r in range(len(letters))), default=letters)
-
-
-def _is_lyndon(letters: tuple[int, ...]) -> bool:
-    """True iff ``letters`` is strictly smaller than each of its nontrivial
-    rotations, i.e. primitive and in canonical rotation, in one pass: p is
-    the length of the longest Lyndon prefix, a drop below letters[i - p]
-    ends the prenecklace and the word is Lyndon iff p ends at its length
-    (Ruskey, Savage & Wang 1992)."""
-    p = 1
-    for i in range(1, len(letters)):
-        a, b = letters[i - p], letters[i]
-        if b < a:
-            return False
-        if b > a:
-            p = i + 1
-    return p == len(letters)
 
 
 def validate_spec(alphabet_size: int, forbidden_pairs: Iterable[tuple[int, int]]) -> SubshiftSpec:

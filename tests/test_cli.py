@@ -497,7 +497,7 @@ def test_kalinin_csv_bytes_are_pinned(tmp_path, capsys):
     # whose last bit may differ on another SIMD target
     path = write_config(tmp_path, shift_config("full", n_steps=2000, n_samples=4, seed=7))
     argv = ["kalinin", "--config", path, "--k", "0.9", "--max-period", "5"]
-    assert stdout_sha256(capsys, argv) == "66d66ea330a063e1e22084537d740f13a3e1641278ad8cf933571fdc0ebd716a"
+    assert stdout_sha256(capsys, argv) == "70a388bcb0cd127f8d6153ed5245ea9e23973c93b261fd0cac9488a3088fd076"
 
 
 def two_cycle_config(tmp_path):

@@ -157,12 +157,17 @@ def _half_pi_sigma(measure):
 BIPARTITE = stationary_markov(
     validate_spec(3, [(1, 1), (2, 2), (2, 3), (3, 2), (3, 3)]), [[0.0, 0.5, 0.5], [1.0, 0.0, 0.0], [1.0, 0.0, 0.0]]
 )
+# the alternation 1, 2, 1, 2 breaks once in about 1000 steps, so S_n drifts
+# far between sign changes: the product loses its small direction unless
+# each column keeps its own scale
+STICKY_ALTERNATION = stationary_markov(FULL, [[1e-3, 0.999], [0.999, 1e-3]])
 # measure and the sigma of _half_pi_sigma, or None on the bipartite shift
 NULL_MODELS = {
     "full": (FULL_UNIFORM, 0.3465736),  # ln 2 / 2: iid letters
     "golden": (GOLDEN_HALF, 0.5659523),
     "three": (THREE_MARKOV, 0.3215079),
     "bipartite": (BIPARTITE, None),
+    "sticky": (STICKY_ALTERNATION, 10.954138),
 }
 
 
@@ -453,15 +458,27 @@ def test_mc_kernel_on_chosen_paths(monkeypatch):
     assert _half_pi_rate(CHOSEN_PATH) == pytest.approx(0.1155822923583652, rel=0, abs=1e-13)
 
 
-@pytest.mark.xfail(strict=True, reason="ROADMAP item 2: the MC product loses its small direction at pi/2")
 def test_mc_kernel_keeps_the_small_direction_at_half_pi(monkeypatch):
-    # renormalized by its max entry, the running product has lost the small
-    # direction after the first 2000 steps, so the kernel reads -0.11558
-    # where the exact rate is +0.11558 (the scalar cocycle_product, which
-    # scales each column on its own, reads +0.11558)
+    # renormalized by one max entry for both columns, the running product
+    # would lose the small direction after the first 2000 steps and read
+    # -0.11558 where the exact rate is +0.11558; the kernel scales each
+    # column on its own, as the scalar cocycle_product does
     monkeypatch.setattr(lyapunov_module, "_lane_walk", _path_walk(CHOSEN_PATH, _word_steps(FULL_UNIFORM)))
     rate = _mc_rates(FULL_UNIFORM, [math.pi / 2], len(CHOSEN_PATH) - 1, 1, 0)[0, 0]
     assert rate == pytest.approx(_half_pi_rate(CHOSEN_PATH), rel=0, abs=1e-12)
+
+
+@pytest.mark.parametrize("l", [3, 5, 25])
+def test_mc_kernel_keeps_the_small_direction_on_wider_alphabets(monkeypatch, l):
+    # the chosen path with letters 1 and l: at pi/2 each step grows one
+    # direction by sqrt(l), so the first 2000 steps grow it by 1000 ln l
+    # nats, beyond double range, before the next 4000 shrink it again; the
+    # step bound 2 sqrt(l) + 1 sets the word length and the roots per block
+    measure = stationary_markov(validate_spec(l, []), np.full((l, l), 1.0 / l))
+    path = [1 if x == 1 else l for x in CHOSEN_PATH]
+    monkeypatch.setattr(lyapunov_module, "_lane_walk", _path_walk(path, _word_steps(measure)))
+    rate = _mc_rates(measure, [math.pi / 2], len(path) - 1, 1, 0)[0, 0]
+    assert rate == pytest.approx(_half_pi_rate(path), rel=0, abs=1e-12)
 
 
 def test_cocycle_product_keeps_the_small_direction_at_half_pi():
@@ -471,15 +488,26 @@ def test_cocycle_product_keeps_the_small_direction_at_half_pi():
     assert rate == pytest.approx(_half_pi_rate(CHOSEN_PATH), rel=0, abs=1e-12)
 
 
-STICKY_ALTERNATION = stationary_markov(FULL, [[1e-3, 0.999], [0.999, 1e-3]])
-
-
-@pytest.mark.xfail(strict=True, reason="ROADMAP item 2: the MC product loses its small direction at pi/2")
 def test_mc_rates_at_half_pi_are_nonnegative_on_a_sticky_random_path():
     # at pi/2 each sample's exact rate is |S_n| / n >= 0 (ROADMAP item 9); on
-    # the sticky alternation the walk drifts far enough that the running
-    # product loses its small direction, and 11 of these 20 rates read < 0
+    # the sticky alternation the walk drifts far enough that a product with
+    # one scale for both columns loses its small direction, and 11 of these
+    # 20 rates would read < 0
     rates = _mc_rates(STICKY_ALTERNATION, [math.pi / 2], 100_000, 20, 1)
+    assert np.all(np.isfinite(rates)) and np.all(rates >= 0.0)
+
+
+# 1 <-> 3 alternates with probability 1 - 2e-4 per step, and each such step
+# grows one direction by sqrt(3) at pi/2
+STICKY_THREE = stationary_markov(
+    validate_spec(3, []), [[1e-4, 1e-4, 1 - 2e-4], [1 / 3, 1 / 3, 1 / 3], [1 - 2e-4, 1e-4, 1e-4]]
+)
+
+
+def test_mc_rates_at_half_pi_are_nonnegative_on_a_sticky_three_letter_path():
+    # as on the sticky alternation, every exact rate |S_n| / n is >= 0; a
+    # product that loses its small direction reads no finite rate here
+    rates = _mc_rates(STICKY_THREE, [math.pi / 2], 100_000, 20, 1)
     assert np.all(np.isfinite(rates)) and np.all(rates >= 0.0)
 
 

@@ -19,7 +19,7 @@ from sftlab import (
     shift,
     validate_spec,
 )
-from sftlab.sft import SubshiftSpec, _canonical_rotation, _is_lyndon, _is_primitive, _lyndon_words
+from sftlab.sft import SubshiftSpec, _lyndon_words
 
 FULL = validate_spec(2, [])
 GOLDEN = validate_spec(2, [(2, 2)])
@@ -268,12 +268,6 @@ def test_enumerate_long_periods_without_recursion():
     elapsed = time.perf_counter() - start
     assert [p.cycle.letters for p in points] == [(1, 2)]
     assert elapsed < 1.0, f"{elapsed:.3f} s"
-
-
-def test_linear_lyndon_check_matches_definition():
-    for n in range(1, 9):
-        for w in itertools.product((1, 2, 3), repeat=n):
-            assert _is_lyndon(w) == (_is_primitive(w) and w == _canonical_rotation(w)), w
 
 
 def mobius(n):
