@@ -17,11 +17,12 @@ The sampler walks blocks of L * 2**m steps in chunks of exactly L letters
 and hands out the admissible (L+1)-letter words in lexicographic order and,
 per chunk, the id of its word: the letter before the chunk and the chunk.
 So a whole block is 2**m word slots, its ids as they come.  Only a short
-last block has the r leftover letters of a partial chunk, one slot per
-single step, and identity padding up to a power of two.  The slots are
-multiplied, unscaled, as a balanced tree (later half on the left) down to R
-roots of bounded entries, which advance the running lane product in time
-order; only that step divides each column by its max entry.
+last block has the r leftover steps of a partial chunk, one slot per single
+step read off the pair ids x*l + y of its word, and identity padding up to
+a power of two.  The slots are multiplied, unscaled, as a balanced tree
+(later half on the left) down to R roots of bounded entries, which the tree
+returns in time order and which advance the running lane product; only
+that step divides each column by its max entry.
 Energies sit on the innermost axis of every kernel array, so gathering a
 slot copies one contiguous row of all energies.  Blocks are gathered in
 chunks of lanes with every energy, or of energies for one lane, of at most
@@ -126,12 +127,11 @@ def _step_table(measure: MarkovMeasure, k_values: Sequence[float]) -> np.ndarray
     return table
 
 
-def _word_table(steps: np.ndarray, l: int, words: np.ndarray) -> np.ndarray:
+def _word_table(steps: np.ndarray, pairs: np.ndarray) -> np.ndarray:
     """Entries of the L-step product A(w_L-1, w_L) ... A(w_0, w_1) of every
-    word w_0 ... w_L in the rows of words (n_words, L+1), shape
-    (4, n_words, n_k) like the steps (4, l*l, n_k), each step multiplied on
-    the left of the ones before."""
-    pairs = words[:, :-1] * l + words[:, 1:]
+    word w_0 ... w_L, given as the rows of its step indices w_t*l + w_t+1 in
+    pairs (n_words, L), shape (4, n_words, n_k) like the steps (4, l*l, n_k),
+    each step multiplied on the left of the ones before."""
     table = steps[:, pairs[:, 0]]
     for m in range(1, pairs.shape[1]):
         table = _mul(steps[:, pairs[:, m]], table)
@@ -174,39 +174,38 @@ def _bit_reversal(size: int) -> np.ndarray:
     return rev
 
 
-def _block_slots(
-    ids: np.ndarray, b: int, words: np.ndarray, l: int, step0: int, pad: int
-) -> np.ndarray:
+def _block_slots(ids: np.ndarray, b: int, pairs: np.ndarray, step0: int, pad: int) -> np.ndarray:
     """Indices into the combined table of a sampler block of b letters, from
-    the ids (chunks, lanes) of its chunks' words in the sampler's word table
-    words (n_words, L+1), shape (P, lanes) with P the next power of two:
-    the word id of every whole chunk, then the leftover single steps
-    step0 + x*l + y of the r = b % L letters of a last partial chunk, read
-    off its word's first r+1 letters, then identity padding (index pad).  A
-    whole block of the walk is 2**m whole chunks, so it fills P = 2**m slots
-    with words alone; only a short last block has leftover steps or
-    padding.  Time t is stored at row bitrev(t), so that the later half of
-    every level of :func:`_tree_product` is its upper half (time order with
-    strided pairing gives the same bits but is slower; see there)."""
-    whole, r = divmod(b, words.shape[1] - 1)
+    the ids (chunks, lanes) of its chunks' words in the sampler's word table,
+    whose step indices x*l + y are the rows of pairs (n_words, L), shape
+    (P, lanes) with P the next power of two: the word id of every whole
+    chunk, then the leftover single steps step0 + pairs[id, t] for the
+    first r = b % L steps of a last partial chunk's word, then identity
+    padding (index pad).  A whole block of the walk is 2**m whole chunks, so
+    it fills P = 2**m slots with words alone; only a short last block has
+    leftover steps or padding.  Time t is stored at row bitrev(t), so that
+    the later half of every level of :func:`_tree_product` is its upper half
+    (time order with strided pairing gives the same bits but is slower; see
+    there)."""
+    whole, r = divmod(b, pairs.shape[1])
     n = whole + r
     rev = _bit_reversal(1 << (n - 1).bit_length())
     slots = np.full((len(rev), ids.shape[1]), pad, dtype=np.intp)
     slots[rev[:whole]] = ids[:whole]
     if r:
-        full = words[ids[whole], : r + 1]
-        slots[rev[whole:n]] = (step0 + full[:, :-1] * l + full[:, 1:]).T
+        slots[rev[whole:n]] = (step0 + pairs[ids[whole], :r]).T
     return slots
 
 
-def _tree_product(mats: np.ndarray, roots: int) -> np.ndarray:
+def _tree_product(mats: np.ndarray, span: int) -> list[np.ndarray]:
     """Time-ordered products of the P slots of mats, shape (4, P, lanes, n_k)
     in :func:`_block_slots` order (the cached :func:`_bit_reversal`), as a
     balanced tree along axis 1: each level multiplies the upper half (later
-    times) onto the lower half, unscaled, until ``roots`` products of P/roots
-    slots are left, shape (4, roots, lanes, n_k): the bit-reversed storage
-    leaves time-chunk t in row bitrev(t).  All of it is elementwise per
-    energy and lane; :func:`_mc_rates` picks roots to bound the entries.
+    times) onto the lower half, unscaled, until R = max(1, P // span)
+    products of span slots are left.  Returns these R roots in time order,
+    views of shape (4, lanes, n_k): the bit-reversed storage leaves
+    time-chunk t in row bitrev(t).  All of it is elementwise per energy and
+    lane; :func:`_mc_rates` picks span to bound the entries.
 
     Slots in time order, paired odd onto even on strided views
     (``mats[:, 1::2]`` onto ``mats[:, ::2]``), give the same bits but run
@@ -214,10 +213,11 @@ def _tree_product(mats: np.ndarray, roots: int) -> np.ndarray:
     at shape (4, 64, 10, 101), and :func:`_mc_rates` at the mc_scan shape
     (golden mean, 101 energies, 100 samples of 1e4 steps) 0.24 s against
     0.17-0.20 s."""
+    roots = max(1, mats.shape[1] // span)
     while mats.shape[1] > roots:
         h = mats.shape[1] // 2
         mats = _mul(mats[:, h:], mats[:, :h])
-    return mats
+    return [mats[:, t] for t in _bit_reversal(roots)]
 
 
 def _chunks(n_k: int, n_lanes: int, slot_elements: int) -> Iterator[tuple[slice, list[slice]]]:
@@ -240,16 +240,18 @@ def _mc_rates(
 
     The sampler walks blocks of L * 2**m letters in chunks of
     L = _word_steps(measure) letters and hands out the id of each chunk's
-    (L+1)-letter word in its table of the admissible words;
-    :func:`_block_slots` makes each whole chunk's id its slot and, in a
-    short last block, adds one slot per leftover single step and identity
-    padding up to a power of two, gathered from one combined table
-    (admissible words | steps | identity) per energy; no letters are built
-    for whole chunks.
+    (L+1)-letter word in its table of the admissible words.  pairs holds
+    each word's step indices x*l + y, built once: :func:`_word_table`
+    multiplies its rows, and :func:`_block_slots` makes each whole chunk's
+    id its slot and, in a short last block, reads one slot per leftover
+    single step off pairs and adds identity padding up to a power of two,
+    gathered from one combined table (admissible words | steps | identity)
+    per energy; no letters are built for whole chunks.
     :func:`_tree_product` multiplies the P slots, unscaled, down to
-    R = max(1, P // span) roots, and :func:`_advance`, the one place the
-    product is renormalized, applies them in time order to the running lane
-    product.  A root has entries below 2**(span * L * _step_bits(l)), and
+    R = max(1, P // span) roots, which it returns in time order, and
+    :func:`_advance`, the one place the product is renormalized, applies
+    them to the running lane product, which starts as copies of the table's
+    identity.  A root has entries below 2**(span * L * _step_bits(l)), and
     span is the largest power of two that keeps this at most
     2**_ENTRY_BITS_MAX = 2**1000 (R = 2 on the full and golden shifts): so
     :func:`_mul`'s sums stay below 2**1001, and at c = 0 a root's small
@@ -264,26 +266,24 @@ def _mc_rates(
     length = _word_steps(measure)
     span = 1 << (int(_ENTRY_BITS_MAX / (length * _step_bits(l))).bit_length() - 1)
     words, walk = _lane_walk(measure, [(int(seed), i) for i in range(n_samples)], n_steps + 1, length)
+    pairs = words[:, :-1] * l + words[:, 1:]
     steps = _step_table(measure, k_values)
     eye = np.zeros((4, 1, len(k_values)))
     eye[0] = eye[3] = 1.0
-    table = np.concatenate((_word_table(steps, l, words), steps, eye), axis=1)
+    table = np.concatenate((_word_table(steps, pairs), steps, eye), axis=1)
     step0, pad = len(words), table.shape[1] - 1
 
-    m = np.zeros((4, n_samples, len(k_values)))
-    m[0] = m[3] = 1.0
+    m = np.repeat(eye, n_samples, axis=1)
     logs = np.zeros((2, n_samples, len(k_values)))
 
     for b, ids in walk:
-        slots = _block_slots(ids, b, words, l, step0, pad)
-        roots = max(1, len(slots) // span)
+        slots = _block_slots(ids, b, pairs, step0, pad)
         for ks, lane_runs in _chunks(len(k_values), n_samples, 4 * len(slots)):
             sub = np.ascontiguousarray(table[:, :, ks])  # a copy only if the energies split
             for lanes in lane_runs:
-                tree = _tree_product(np.take(sub, slots[:, lanes], axis=1), roots)
                 prod = m[:, lanes, ks]
-                for t in _bit_reversal(roots):
-                    prod = _advance(tree[:, t], prod, logs[:, lanes, ks])
+                for root in _tree_product(np.take(sub, slots[:, lanes], axis=1), span):
+                    prod = _advance(root, prod, logs[:, lanes, ks])
                 m[:, lanes, ks] = prod
 
     top = logs.max(axis=0)
@@ -312,16 +312,10 @@ def lyapunov_mc_grid(
     if n_samples < 2:
         raise ValueError("n_samples must be at least 2")
     rates = _mc_rates(measure, list(k_values), n_steps, n_samples, seed)
+    stderrs = rates.std(axis=1, ddof=1) / math.sqrt(n_samples)
     return [
-        LyapunovEstimate(
-            k=float(k),
-            value=float(np.mean(row)),
-            stderr=float(np.std(row, ddof=1) / math.sqrt(n_samples)),
-            n_steps=n_steps,
-            n_samples=n_samples,
-            seed=seed,
-        )
-        for row, k in zip(rates, k_values)
+        LyapunovEstimate(float(k), float(v), float(e), n_steps, n_samples, seed)
+        for k, v, e in zip(k_values, rates.mean(axis=1), stderrs)
     ]
 
 

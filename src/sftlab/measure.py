@@ -86,8 +86,12 @@ def stationary_markov(spec: SubshiftSpec, transition) -> MarkovMeasure:
                     f"forbidden transition ({i + 1}, {j + 1}) has positive probability {p[i, j]}"
                 )
 
-    # pi P = pi, sum(pi) = 1: replace one balance equation by the normalization
-    a = p.T - np.eye(n)
+    # pi P = pi, sum(pi) = 1: replace one balance equation by the normalization.
+    # The diagonal of P - I is minus each row's off-diagonal sum, summed
+    # directly: p_ii - 1 would round away weights below an ulp of the row
+    # (Grassmann, Taksar & Heyman 1985).
+    a = p.T.copy()
+    np.fill_diagonal(a, -np.where(np.eye(n, dtype=bool), 0.0, p).sum(axis=1))
     a[-1, :] = 1.0
     b = np.zeros(n)
     b[-1] = 1.0
@@ -112,8 +116,8 @@ def _lane_walk(
     whole chunks; the last block may be shorter.  The letters do not depend
     on the block length: each lane draws one stream."""
     gens = [np.random.Generator(np.random.PCG64(np.random.SeedSequence(s))) for s in seeds]
-    stationary_cum = np.cumsum(measure.stationary)[:-1].tolist()
-    first = np.array([bisect_right(stationary_cum, g.random()) for g in gens], dtype=np.intp)
+    first_cum = _thresholds(measure)[2]
+    first = np.array([bisect_right(first_cum, g.random()) for g in gens], dtype=np.intp)
     theta, words, word_of, last = _chunk_tables(measure, k)
     block = k << ((_BLOCK // k).bit_length() - 1)  # k * 2**m
 
@@ -127,11 +131,13 @@ def _lane_walk(
     return words, blocks(first)
 
 
-def _thresholds(measure: MarkovMeasure) -> tuple[list[list[float]], list[float]]:
-    """Each row's interior cumulative transition weights, and Theta: their
-    distinct values strictly inside (0, 1), sorted (module docstring)."""
+def _thresholds(measure: MarkovMeasure) -> tuple[list[list[float]], list[float], list[float]]:
+    """Each row's interior cumulative transition weights; Theta, their
+    distinct values strictly inside (0, 1), sorted (module docstring); and
+    the interior cumulative stationary weights, which pick the first letter."""
     interior_rows = np.cumsum(measure.transition, axis=1)[:, :-1].tolist()
-    return interior_rows, sorted({x for row in interior_rows for x in row if 0.0 < x < 1.0})
+    theta = sorted({x for row in interior_rows for x in row if 0.0 < x < 1.0})
+    return interior_rows, theta, np.cumsum(measure.stationary)[:-1].tolist()
 
 
 def _walk_size(measure: MarkovMeasure, k: int) -> int:
@@ -157,7 +163,7 @@ def _chunk_tables(measure: MarkovMeasure, k: int) -> tuple[list[float], np.ndarr
     bucket of every (prefix id, next letter) pair, a cumsum of the marks
     numbers the pairs in lexicographic order, and a position's new id is
     one gather at its prefix id and bucket."""
-    interior_rows, theta = _thresholds(measure)
+    interior_rows, theta, _ = _thresholds(measure)
     nb = len(theta) + 1
     step = np.array([[bisect_right(row, x) for x in (0.0, *theta)] for row in interior_rows])
     fresh = np.ones(step.shape, dtype=bool)  # bucket q is the first to step s to its letter
@@ -225,8 +231,8 @@ def sample_window(measure: MarkovMeasure, first_index: int, last_index: int, see
         raise ValueError("first_index must be <= last_index")
     n = last_index - first_index + 1
     gen = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
-    rows = _thresholds(measure)[0]
-    cur = bisect_right(np.cumsum(measure.stationary)[:-1].tolist(), gen.random())
+    rows, _, first_cum = _thresholds(measure)
+    cur = bisect_right(first_cum, gen.random())
     letters = [cur + 1]
     for done in range(1, n, _BLOCK):
         for u in gen.random(min(_BLOCK, n - done)).tolist():

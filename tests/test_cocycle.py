@@ -4,9 +4,11 @@ checked against hand algebra or an independent route."""
 
 import math
 import random
+from types import SimpleNamespace
 
 import pytest
 
+import sftlab.cocycle as cocycle_module
 from sftlab import (
     Mat2,
     PeriodicPoint,
@@ -104,6 +106,31 @@ def test_canonical_cos_snaps_to_cancellation_energy():
     assert canonical_cos(math.pi / 2) == 0.0
     assert canonical_cos(math.pi / 2 + 1e-13) == 0.0
     assert canonical_cos(math.pi / 2 + 1e-10) != 0.0
+
+
+def test_canonical_cos_takes_the_minimum_of_the_cycle(monkeypatch):
+    # libm's cos(acos(x)) is usually x itself, so the cycle rule only runs
+    # under a stub: energies 1..4 have cosines x0..x3, and cos(acos(.))
+    # walks the tail x0 -> x1 into the 2-cycle x2 <-> x3.  The tail holds
+    # both the smallest and the largest value, and the cycle's minimum x3
+    # is not where the walk enters it, so only the minimum of the cycle
+    # itself is the same double from every entry point.
+    base = 0.3
+    ulp = math.ulp(base)
+    xs = [base, base + 4 * ulp, base + 2 * ulp, base + ulp]
+    follow = {xs[0]: xs[1], xs[1]: xs[2], xs[2]: xs[3], xs[3]: xs[2]}
+    cosines = {1.0 + i: x for i, x in enumerate(xs)} | {5.0: 5e-13, 6.0: -5e-13}
+    cosines |= {100.0 + i: follow[x] for i, x in enumerate(xs)}  # cos(acos(x_i))
+    stub = SimpleNamespace(
+        isfinite=math.isfinite, cos=cosines.__getitem__, acos=lambda x: 100.0 + xs.index(x)
+    )
+    canonical_cos.cache_clear()
+    monkeypatch.setattr(cocycle_module, "math", stub)
+    try:
+        assert [canonical_cos(k) for k in (1.0, 2.0, 3.0, 4.0)] == [xs[3]] * 4
+        assert canonical_cos(5.0) == canonical_cos(6.0) == 0.0  # snapped before any acos
+    finally:
+        canonical_cos.cache_clear()
 
 
 @pytest.mark.parametrize("k", [math.inf, -math.inf, math.nan])

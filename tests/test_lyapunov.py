@@ -28,7 +28,7 @@ from sftlab import (
     validate_spec,
 )
 import sftlab.lyapunov as lyapunov_module
-from sftlab.lyapunov import _block_slots, _mc_rates, _word_steps
+from sftlab.lyapunov import _WORD_BITS_MAX, _block_slots, _mc_rates, _step_bits, _word_steps
 from sftlab.measure import _BLOCK, _lane_walk, _thresholds, _walk_size
 
 FULL = validate_spec(2, [])
@@ -277,7 +277,9 @@ def test_block_slots_match_sample_window(name):
     # L letters; with the bit-reversal undone, each whole block's slots are
     # its 2**m words, and a short last block's are its whole words, its
     # leftover single steps and identity padding, down to a single letter
-    # whose step starts at the previous block's last letter
+    # whose step starts at the previous block's last letter.  _block_slots
+    # reads the leftover steps off the words' pair ids; the expected slots
+    # are built from the window's letters instead
     measure, length, block = KERNEL_SHAPES[name]
     l = measure.spec.alphabet_size
     assert _word_steps(measure) == length
@@ -292,11 +294,12 @@ def test_block_slots_match_sample_window(name):
         blocks = list(walk)
         assert words.shape[1] == length + 1
         assert words[blocks[0][1][0], 0].tolist() == [w[0] for w in windows]
+        pairs = words[:, :-1] * l + words[:, 1:]
         step0 = len(words)
         pad = step0 + l * l
         sizes, t0 = [], 0
         for b, ids in blocks:
-            slots = _block_slots(ids, b, words, l, step0, pad)
+            slots = _block_slots(ids, b, pairs, step0, pad)
             bits = len(slots).bit_length() - 1
             rows = [int(format(t, f"0{bits}b")[::-1], 2) for t in range(len(slots))]
             whole = b - b % length
@@ -351,7 +354,7 @@ def test_word_steps_follow_admissible_words():
         l = measure.spec.alphabet_size
         nb = len(_thresholds(measure)[1]) + 1
         assert _walk_size(measure, length) == l * nb**length <= 1 << 16, name
-        assert (2 * math.sqrt(l) + 1) ** (8 * length) <= 2.0**256, name
+        assert length * _step_bits(l) <= _WORD_BITS_MAX, name
         words_per_block = block // length
         assert block % length == 0 and words_per_block & (words_per_block - 1) == 0, name
         assert block <= _BLOCK < 2 * block, name
@@ -368,7 +371,7 @@ def test_word_steps_follow_admissible_words():
         elif l * nb ** (length + 1) > 1 << 16:
             stops[name] = "walk"
         else:
-            assert (2 * math.sqrt(l) + 1) ** (8 * length + 8) > 2.0**256, name
+            assert (length + 1) * _step_bits(l) > _WORD_BITS_MAX, name
             stops[name] = "entries"
     assert stops == {name: "words" for name in KERNEL_SHAPES} | {"cycle2": "entries", "sparse4": "walk"}
 
@@ -516,9 +519,9 @@ def _record_gathered(monkeypatch, record):
     to record before its tree product."""
     tree_product = lyapunov_module._tree_product
 
-    def spy(mats, logs):
+    def spy(mats, span):
         record(mats)
-        return tree_product(mats, logs)
+        return tree_product(mats, span)
 
     monkeypatch.setattr(lyapunov_module, "_tree_product", spy)
 

@@ -2,6 +2,7 @@
 the frequencies of sampled letters and pairs."""
 
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -115,6 +116,25 @@ def test_stationary_golden_mean():
 def test_stationarity_equation_holds():
     mu = golden_half()
     assert np.max(np.abs(mu.stationary @ mu.transition - mu.stationary)) < 1e-12
+
+
+@pytest.mark.parametrize("e", [1e-8, 1e-13, 3e-15])
+def test_stationary_keeps_small_transition_weights(e):
+    # on the full 2-shift pi[0] is exactly p21 / (p12 + p21) of the doubles
+    # given; a diagonal p_ii - 1 would round the weights e and 2e away
+    # (off by 1e-9 at e = 1e-8 and by 1e-4 from e = 1e-13)
+    p = [[1 - e, e], [2 * e, 1 - 2 * e]]
+    mu = stationary_markov(FULL, p)
+    exact = Fraction(p[1][0]) / (Fraction(p[0][1]) + Fraction(p[1][0]))
+    assert abs(Fraction(mu.stationary[0]) - exact) <= 2.3e-16
+    assert abs(Fraction(mu.stationary[1]) - (1 - exact)) <= 2.3e-16
+
+
+def test_stationary_accepts_weights_below_an_ulp_of_the_row():
+    # the rows sum to 1 + 1e-17, within the stochastic tolerance, and the
+    # chain is symmetric, so pi = (1/2, 1/2) exactly
+    mu = stationary_markov(FULL, [[1.0, 1e-17], [1e-17, 1.0]])
+    assert [Fraction(x) for x in mu.stationary] == [Fraction(1, 2)] * 2
 
 
 def test_support_violation_zero_on_allowed():
