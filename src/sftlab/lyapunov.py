@@ -28,6 +28,13 @@ slot copies one contiguous row of all energies.  Blocks are gathered in
 chunks of lanes with every energy, or of energies for one lane, of at most
 ``_GATHER_BUDGET`` elements.
 
+On Linux a call with enough work computes its lanes in contiguous shares,
+one per usable CPU (the process's affinity mask), every share but the
+first in a forked worker process (:func:`_mc_rates`).  Lanes are
+independent, so the rates are byte-identical for any CPU count or
+affinity: ``taskset -c 0 sftlab ...`` gives the single-process run, and no
+option selects the split.  Elsewhere every call runs in-process.
+
 The estimate is the sample mean; stderr is the sample standard deviation over
 the independent rates divided by sqrt(n_samples).  Everything, the word
 tables included, is elementwise arithmetic per energy and per-sample lane,
@@ -41,11 +48,12 @@ canonicalized cosine.
 from __future__ import annotations
 
 import math
+import os
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate
-from typing import Iterator, Sequence
+from typing import Iterator, NoReturn, Sequence
 
 import numpy as np
 
@@ -59,6 +67,17 @@ _WALK_POSITIONS_MAX = 1 << 16
 _WORD_BITS_MAX = 32  # log2 bound on the entries of one word-table entry
 _ENTRY_BITS_MAX = 1000  # log2 bound on the entries of one tree root
 _GATHER_BUDGET = 1 << 18  # elements (2 MiB of float64) in one gathered block chunk
+# Lane-step-energies (steps * lanes * energies) per forked worker of
+# _mc_rates.  On a 2-CPU Xeon VM (Python 3.11.7, numpy 2.4.6) a fork, pipe
+# and reap of the 42 MB process after an mc_scan op took 3.4-3.7 ms, but
+# each worker also builds its own tables and faults in its own pages: two
+# workers against one read 2.5x at 1e5 and 1.6x at 1e6 on one energy,
+# 1.06x at 1e7 on the 101-energy golden-mean grid, 0.78x at 2e7 and
+# 0.61-0.79x from 6e7 to 1e8 (medians of 7-9 alternating calls, 100 lanes).
+# 2**25 = 3.4e7 per worker keeps every call below about 6.7e7 in-process.
+# The CPU count is the affinity mask: a cgroup CPU quota below it is not
+# detected, and `taskset -c CPUS` is the way to restrict the workers.
+_SPLIT_WORK = 1 << 25
 
 
 def _step_bits(l: int) -> float:
@@ -233,10 +252,9 @@ def _chunks(n_k: int, n_lanes: int, slot_elements: int) -> Iterator[tuple[slice,
         yield slice(k0, k0 + k_run), lane_runs
 
 
-def _mc_rates(
-    measure: MarkovMeasure, k_values: Sequence[float], n_steps: int, n_samples: int, seed: int
-) -> np.ndarray:
-    """Per-sample rates, shape (len(k_values), n_samples).
+def _lane_rates(measure: MarkovMeasure, k_values: Sequence[float], n_steps: int, seeds: list) -> np.ndarray:
+    """Per-lane rates, shape (len(k_values), len(seeds)), lane i walking the
+    stream seeded with seeds[i]: the kernel of :func:`_mc_rates`.
 
     The sampler walks blocks of L * 2**m letters in chunks of
     L = _word_steps(measure) letters and hands out the id of each chunk's
@@ -256,8 +274,8 @@ def _mc_rates(
     2**_ENTRY_BITS_MAX = 2**1000 (R = 2 on the full and golden shifts): so
     :func:`_mul`'s sums stay below 2**1001, and at c = 0 a root's small
     entry, the inverse of its large one, stays above 2**-1000, a normal
-    double.  Tables, running product (4, n_samples, n_k) and column logs
-    (2, n_samples, n_k) keep energies last, so a gathered slot is one
+    double.  Tables, running product (4, lanes, n_k) and column logs
+    (2, lanes, n_k) keep energies last, so a gathered slot is one
     contiguous row of every energy.  The work runs in chunks of lanes, or of
     energies, that keep each gathered array within _GATHER_BUDGET elements;
     the association order depends only on the block, so the chunks never
@@ -265,7 +283,8 @@ def _mc_rates(
     l = measure.spec.alphabet_size
     length = _word_steps(measure)
     span = 1 << (int(_ENTRY_BITS_MAX / (length * _step_bits(l))).bit_length() - 1)
-    words, walk = _lane_walk(measure, [(int(seed), i) for i in range(n_samples)], n_steps + 1, length)
+    n_lanes = len(seeds)
+    words, walk = _lane_walk(measure, seeds, n_steps + 1, length)
     pairs = words[:, :-1] * l + words[:, 1:]
     steps = _step_table(measure, k_values)
     eye = np.zeros((4, 1, len(k_values)))
@@ -273,12 +292,12 @@ def _mc_rates(
     table = np.concatenate((_word_table(steps, pairs), steps, eye), axis=1)
     step0, pad = len(words), table.shape[1] - 1
 
-    m = np.repeat(eye, n_samples, axis=1)
-    logs = np.zeros((2, n_samples, len(k_values)))
+    m = np.repeat(eye, n_lanes, axis=1)
+    logs = np.zeros((2, n_lanes, len(k_values)))
 
     for b, ids in walk:
         slots = _block_slots(ids, b, pairs, step0, pad)
-        for ks, lane_runs in _chunks(len(k_values), n_samples, 4 * len(slots)):
+        for ks, lane_runs in _chunks(len(k_values), n_lanes, 4 * len(slots)):
             sub = np.ascontiguousarray(table[:, :, ks])  # a copy only if the energies split
             for lanes in lane_runs:
                 prod = m[:, lanes, ks]
@@ -292,6 +311,110 @@ def _mc_rates(
     det = m[0] * m[3] - m[1] * m[2]
     smax = np.sqrt((q + np.sqrt(np.maximum(q * q - 4.0 * det * det, 0.0))) / 2.0)
     return np.ascontiguousarray(((top + np.log(smax)) / n_steps).T)
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on (its affinity mask), or 1 where os has
+    no sched_getaffinity (macOS, Windows), which keeps every call
+    in-process there."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+
+
+def _worker(fd: int, measure: MarkovMeasure, k_values: Sequence[float], n_steps: int, seeds: list) -> NoReturn:
+    """The body of a forked worker: the kernel on its share of the lanes,
+    whose rates' bytes it writes to fd.  It leaves through os._exit, 0
+    after a full write and 1 on any exception, so it never returns into
+    the caller's frames, runs no atexit handler and flushes no stdio
+    buffer it inherited."""
+    code = 1
+    try:
+        data = memoryview(_lane_rates(measure, k_values, n_steps, seeds).tobytes())
+        while data:
+            data = data[os.write(fd, data) :]
+        code = 0
+    finally:
+        os._exit(code)
+
+
+def _mc_rates(
+    measure: MarkovMeasure, k_values: Sequence[float], n_steps: int, n_samples: int, seed: int
+) -> np.ndarray:
+    """Per-sample rates, shape (len(k_values), n_samples), lane i seeded
+    with (seed, i), computed by :func:`_lane_rates` in W contiguous shares
+    of the lanes, share j the lanes [n*j // W, n*(j+1) // W) with
+    n = n_samples, and
+    W = max(1, min(usable CPUs, n_samples, work // _SPLIT_WORK)), work the
+    lane-step-energies n_steps * n_samples * len(k_values).  Shares
+    1..W-1 each run in an os.fork() child, which runs only the kernel and
+    one write of its rates' bytes to its own pipe (:func:`_worker`); the
+    parent computes share 0 itself, reads every pipe to EOF before it
+    reaps any child (a share can exceed the 64 KiB pipe buffer), checks
+    each child's exit status and byte count, and joins the shares along
+    the lane axis.  If it unwinds (an exception or KeyboardInterrupt) it
+    first SIGKILLs the children it has not reaped; either way every child
+    is reaped before the call returns, so none outlives it.  A share whose
+    fork raises OSError (EAGAIN at a process limit, say) is computed
+    in-process.
+
+    The bits cannot move with W: lanes are independent (each draws its
+    own seeded stream and has its own running product), the tree's
+    association order depends only on the sampler block, and
+    :func:`_chunks`' lane and energy runs never change a bit.  So the
+    rates are byte-identical for any CPU count or affinity mask.
+
+    Threads at fork time: numpy's OpenBLAS registers fork handlers, and the
+    benchmark pins BLAS to one thread.  On Python >= 3.12 os.fork issues a
+    DeprecationWarning when other threads exist; outside __main__ that
+    warning is ignored by default (CI runs 3.10 and 3.11)."""
+    seeds = [(int(seed), i) for i in range(n_samples)]
+    w = max(1, min(_usable_cpus(), n_samples, n_steps * n_samples * len(k_values) // _SPLIT_WORK))
+    if w == 1:
+        return _lane_rates(measure, k_values, n_steps, seeds)
+    shares = [seeds[n_samples * j // w : n_samples * (j + 1) // w] for j in range(w)]
+    pids: dict[int, int] = {}  # share -> child not yet reaped
+    pipes: dict[int, int] = {}  # share -> read end not yet closed
+    rates, payloads = {}, {}
+    try:
+        for j in range(1, w):
+            pipes[j], write_end = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(write_end)
+                continue
+            if pid == 0:
+                _worker(write_end, measure, k_values, n_steps, shares[j])
+            os.close(write_end)
+            pids[j] = pid
+        for j in range(w):
+            if j not in pids:
+                rates[j] = _lane_rates(measure, k_values, n_steps, shares[j])
+        for j in pids:
+            with os.fdopen(pipes.pop(j), "rb") as pipe:
+                payloads[j] = pipe.read()
+        for j, payload in payloads.items():
+            code = os.waitstatus_to_exitcode(os.waitpid(pids[j], 0)[1])
+            del pids[j]
+            size = 8 * len(k_values) * len(shares[j])
+            if code != 0 or len(payload) != size:
+                first, last = shares[j][0][1], shares[j][-1][1]
+                raise RuntimeError(
+                    f"Monte-Carlo worker {j} (lanes {first}..{last}) exited with code {code}"
+                    f" after writing {len(payload)} of {size} bytes"
+                )
+            rates[j] = np.frombuffer(payload).reshape(len(k_values), len(shares[j]))
+    except BaseException:
+        import signal  # only an unwinding parent needs it: no import at module load
+
+        for pid in pids.values():
+            os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        for fd in pipes.values():
+            os.close(fd)
+        for pid in pids.values():
+            os.waitpid(pid, 0)
+    return np.concatenate([rates[j] for j in range(w)], axis=1)
 
 
 def lyapunov_mc(

@@ -2,9 +2,13 @@
 determinism, the exclusion windows and the periodic-approximation
 diagnostic."""
 
+import errno
 import itertools
 import math
+import os
 import random
+import signal
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -66,6 +70,15 @@ KERNEL_SHAPES = {
 P1 = PeriodicPoint.from_letters((1,))
 P12 = PeriodicPoint.from_letters((1, 2))
 LN2_OVER_2 = 0.34657359027997264
+
+
+@pytest.fixture
+def one_worker(monkeypatch):
+    """Keep _mc_rates in-process, one worker, whatever the host's CPUs: a
+    spy or stand-in patched into the kernel sees only the calls of this
+    process, and an assertion inside it would surface in a forked worker
+    only as a worker failure."""
+    monkeypatch.setattr(lyapunov_module, "_usable_cpus", lambda: 1)
 
 
 def growth_rate(sm, n_steps):
@@ -442,6 +455,7 @@ def _half_pi_rate(path):
 CHOSEN_PATH = [1, 2] * 1000 + [2] + [1, 2] * 2000
 
 
+@pytest.mark.usefixtures("one_worker")
 def test_mc_kernel_on_chosen_paths(monkeypatch):
     # the kernel walks a hand-built word table as it walks the sampler's:
     # at k = 1.0 it matches the scalar product on the chosen path, also cut
@@ -461,6 +475,7 @@ def test_mc_kernel_on_chosen_paths(monkeypatch):
     assert _half_pi_rate(CHOSEN_PATH) == pytest.approx(0.1155822923583652, rel=0, abs=1e-13)
 
 
+@pytest.mark.usefixtures("one_worker")
 def test_mc_kernel_keeps_the_small_direction_at_half_pi(monkeypatch):
     # renormalized by one max entry for both columns, the running product
     # would lose the small direction after the first 2000 steps and read
@@ -471,6 +486,7 @@ def test_mc_kernel_keeps_the_small_direction_at_half_pi(monkeypatch):
     assert rate == pytest.approx(_half_pi_rate(CHOSEN_PATH), rel=0, abs=1e-12)
 
 
+@pytest.mark.usefixtures("one_worker")
 @pytest.mark.parametrize("l", [3, 5, 25])
 def test_mc_kernel_keeps_the_small_direction_on_wider_alphabets(monkeypatch, l):
     # the chosen path with letters 1 and l: at pi/2 each step grows one
@@ -526,6 +542,7 @@ def _record_gathered(monkeypatch, record):
     monkeypatch.setattr(lyapunov_module, "_tree_product", spy)
 
 
+@pytest.mark.usefixtures("one_worker")
 @pytest.mark.parametrize("name", ["golden", "three"])
 def test_mc_results_independent_of_gather_schedule(monkeypatch, name):
     # the tree's association order depends only on the sampler block, so a
@@ -548,6 +565,7 @@ def test_mc_results_independent_of_gather_schedule(monkeypatch, name):
     assert default_grid == default_single == small_grid == small_single
 
 
+@pytest.mark.usefixtures("one_worker")
 def test_mc_gathered_blocks_stay_within_budget(monkeypatch):
     # one energy at 1e5 lanes would gather about 400 MB per block without
     # the lane chunks; here 2000 lanes must split into budget-sized runs
@@ -560,6 +578,7 @@ def test_mc_gathered_blocks_stay_within_budget(monkeypatch):
     assert max(sizes) <= lyapunov_module._GATHER_BUDGET
 
 
+@pytest.mark.usefixtures("one_worker")
 def test_mc_gathers_contiguous_energy_rows(monkeypatch):
     # energies are the innermost axis: at the default budget a 101-energy,
     # 100-sample grid gathers whole-grid blocks (runs of lanes with every
@@ -580,6 +599,163 @@ def test_mc_gathers_contiguous_energy_rows(monkeypatch):
 
 def test_mc_empty_grid():
     assert lyapunov_mc_grid(GOLDEN_HALF, [], 1000, 4, 3) == []
+
+
+# ------------------------------------------------------------- forked workers
+
+# the bench's 3-letter shift: forbidden words (2, 2) and (3, 1)
+BENCH_THREE = stationary_markov(THREE, [[1 / 3, 1 / 3, 1 / 3], [0.5, 0.0, 0.5], [0.0, 0.5, 0.5]])
+
+
+def _count_forks(monkeypatch):
+    """Count the os.fork calls of this process; the children's own counts
+    are lost with them."""
+    forks = []
+    fork = os.fork
+
+    def counting_fork():
+        forks.append(1)
+        return fork()
+
+    monkeypatch.setattr(os, "fork", counting_fork)
+    return forks
+
+
+def _force_workers(monkeypatch, w):
+    """Let _mc_rates use up to w workers whatever its work and the host's
+    CPUs: W is then min(w, n_samples)."""
+    monkeypatch.setattr(lyapunov_module, "_usable_cpus", lambda: w)
+    monkeypatch.setattr(lyapunov_module, "_SPLIT_WORK", 1)
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("name", ["golden", "bench_three", "full25"])
+def test_mc_rates_bytes_do_not_depend_on_the_worker_count(monkeypatch, name):
+    # lanes are independent and the tree's association order depends only
+    # on the block, so W = 1..4 workers give the same bytes; 5 and 7 lanes
+    # do not divide evenly, 3 lanes cap W = 4 at 3, and 2*block + 37 steps
+    # end in a short last block
+    measure, block = {
+        "golden": (GOLDEN_HALF, 704),
+        "bench_three": (BENCH_THREE, 768),
+        "full25": (FULL25_UNIFORM, 1024),
+    }[name]
+    n_steps, seed = 2 * block + 37, 11
+    grid = [float(k) for k in np.linspace(0.05, math.pi - 0.05, 101)]
+    forks = _count_forks(monkeypatch)
+    for ks, n_samples in (([1.234], 5), (grid, 7), (grid[::9], 3)):
+        reference = lyapunov_module._lane_rates(measure, ks, n_steps, [(seed, i) for i in range(n_samples)])
+        for w in (1, 2, 3, 4):
+            _force_workers(monkeypatch, w)
+            forks.clear()
+            rates = _mc_rates(measure, ks, n_steps, n_samples, seed)
+            assert len(forks) == min(w, n_samples) - 1
+            assert rates.shape == (len(ks), n_samples) and rates.flags.c_contiguous
+            assert rates.tobytes() == reference.tobytes(), (len(ks), n_samples, w)
+    _assert_no_child_left()
+
+
+def test_mc_worker_count_follows_cpus_lanes_and_work(monkeypatch):
+    # W = max(1, min(usable CPUs, n_samples, work // _SPLIT_WORK)), work the
+    # lane-step-energies n_steps * n_samples * len(k_values): the mc_path op
+    # (one energy, 100 samples of 1e5 steps) stays in-process, and the
+    # mc_scan op (101 energies, 100 samples of 1e4 steps) splits in two on
+    # two or more CPUs
+    assert 1 * 100 * 100_000 // lyapunov_module._SPLIT_WORK == 0
+    assert 101 * 100 * 10_000 // lyapunov_module._SPLIT_WORK >= 2
+    forks = _count_forks(monkeypatch)
+    monkeypatch.setattr(lyapunov_module, "_SPLIT_WORK", 2000)
+    for cpus, n_k, n_samples, w in ((8, 1, 3, 1), (8, 1, 5, 2), (8, 3, 5, 5), (3, 20, 5, 3), (1, 20, 5, 1)):
+        monkeypatch.setattr(lyapunov_module, "_usable_cpus", lambda: cpus)
+        forks.clear()
+        _mc_rates(GOLDEN_HALF, [0.5 + 0.1 * a for a in range(n_k)], 1000, n_samples, 2)
+        assert len(forks) == w - 1, (cpus, n_k, n_samples)
+    _assert_no_child_left()
+
+
+def test_usable_cpus_is_the_affinity_mask_or_one(monkeypatch):
+    if hasattr(os, "sched_getaffinity"):
+        assert lyapunov_module._usable_cpus() == len(os.sched_getaffinity(0))
+        monkeypatch.delattr(os, "sched_getaffinity")
+    assert lyapunov_module._usable_cpus() == 1
+
+
+def test_mc_worker_failure_raises_and_leaves_no_process(monkeypatch):
+    parent = os.getpid()
+    lane_rates = lyapunov_module._lane_rates
+
+    def failing_in_workers(*args):
+        if os.getpid() != parent:
+            raise ValueError("worker kernel failed")
+        return lane_rates(*args)
+
+    monkeypatch.setattr(lyapunov_module, "_lane_rates", failing_in_workers)
+    _force_workers(monkeypatch, 3)
+    with pytest.raises(RuntimeError, match=r"^Monte-Carlo worker 1 \(lanes 2\.\.3\) exited with code 1 after writing 0 of 32 bytes$"):
+        _mc_rates(GOLDEN_HALF, [0.5, 1.5], 1000, 6, 4)
+    _assert_no_child_left()
+
+
+def test_mc_interrupted_parent_kills_its_workers(monkeypatch):
+    # the workers would sleep for a minute; the parent's KeyboardInterrupt
+    # kills and reaps them at once
+    parent = os.getpid()
+    lane_rates = lyapunov_module._lane_rates
+
+    def interrupted(*args):
+        if os.getpid() != parent:
+            time.sleep(60)
+            return lane_rates(*args)
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(lyapunov_module, "_lane_rates", interrupted)
+    _force_workers(monkeypatch, 3)
+    start = time.monotonic()
+    with pytest.raises(KeyboardInterrupt):
+        _mc_rates(GOLDEN_HALF, [0.5], 1000, 6, 4)
+    assert time.monotonic() - start < 30
+    _assert_no_child_left()
+
+
+def test_mc_worker_payload_above_the_pipe_buffer(monkeypatch):
+    # a worker's 12 lanes of 1000 energies are 96,000 bytes, more than a
+    # 64 KiB pipe holds, so the parent must read before it reaps; an alarm
+    # turns a deadlock into a failure
+    ks = [float(k) for k in np.linspace(0.05, math.pi - 0.05, 1000)]
+    assert 8 * len(ks) * 12 > 1 << 16
+    reference = lyapunov_module._lane_rates(GOLDEN_HALF, ks, 1000, [(9, i) for i in range(24)])
+
+    def timeout(signum, frame):
+        raise TimeoutError("the parent blocked on a worker's payload")
+
+    previous = signal.signal(signal.SIGALRM, timeout)
+    signal.alarm(60)
+    try:
+        _force_workers(monkeypatch, 2)
+        rates = _mc_rates(GOLDEN_HALF, ks, 1000, 24, 9)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert rates.tobytes() == reference.tobytes()
+    _assert_no_child_left()
+
+
+def test_mc_fork_failure_computes_the_share_in_process(monkeypatch):
+    # EAGAIN at a process limit: the shares whose fork fails are computed
+    # in-process, with the same bytes
+    reference = _mc_rates(GOLDEN_HALF, [0.5, 2.0], 1000, 7, 8)
+
+    def no_fork():
+        raise OSError(errno.EAGAIN, "Resource temporarily unavailable")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    _force_workers(monkeypatch, 3)
+    assert _mc_rates(GOLDEN_HALF, [0.5, 2.0], 1000, 7, 8).tobytes() == reference.tobytes()
+    _assert_no_child_left()
 
 
 def _recursion_rates(measure, k, n_steps, n_samples, seed):
