@@ -30,7 +30,10 @@ chunks of lanes with every energy, or of energies for one lane, of at most
 
 On Linux a call with enough work computes its lanes in contiguous shares,
 one per usable CPU (the process's affinity mask), every share but the
-first in a forked worker process (:func:`_mc_rates`).  Lanes are
+first in a forked worker process (:func:`_mc_rates`).  Work counts the
+sampler's draw of every lane-step as well as its product at every energy,
+so one energy at 100 samples of 1e5 steps splits as a 101-energy grid at
+1e4 steps does.  Lanes are
 independent, so the rates are byte-identical for any CPU count or
 affinity: ``taskset -c 0 sftlab ...`` gives the single-process run, and no
 option selects the split.  Elsewhere every call runs in-process.
@@ -57,7 +60,7 @@ from typing import Iterator, NoReturn, Sequence
 
 import numpy as np
 
-from .cocycle import a_matrix
+from .cocycle import a_matrix, check_energy
 from .measure import MarkovMeasure, _lane_walk, _walk_size
 from .sft import PeriodicPoint, enumerate_periodic_points
 from .spectra import monodromy_trace
@@ -67,17 +70,28 @@ _WALK_POSITIONS_MAX = 1 << 16
 _WORD_BITS_MAX = 32  # log2 bound on the entries of one word-table entry
 _ENTRY_BITS_MAX = 1000  # log2 bound on the entries of one tree root
 _GATHER_BUDGET = 1 << 18  # elements (2 MiB of float64) in one gathered block chunk
-# Lane-step-energies (steps * lanes * energies) per forked worker of
-# _mc_rates.  On a 2-CPU Xeon VM (Python 3.11.7, numpy 2.4.6) a fork, pipe
-# and reap of the 42 MB process after an mc_scan op took 3.4-3.7 ms, but
-# each worker also builds its own tables and faults in its own pages: two
-# workers against one read 2.5x at 1e5 and 1.6x at 1e6 on one energy,
-# 1.06x at 1e7 on the 101-energy golden-mean grid, 0.78x at 2e7 and
-# 0.61-0.79x from 6e7 to 1e8 (medians of 7-9 alternating calls, 100 lanes).
-# 2**25 = 3.4e7 per worker keeps every call below about 6.7e7 in-process.
+# The work of an _mc_rates call is n_steps * n_samples * (energies +
+# _SAMPLER_ENERGIES): the sampler costs the same per lane-step at any energy
+# count, and on a 2-CPU Xeon VM (Python 3.11.7, numpy 2.4.6) it weighs as
+# much as 3.7 energies of product on the full 2-shift and 5.9 on the golden
+# mean (a + b * energies fitted per lane-step to kernel calls at 1, 11 and
+# 101 energies, 100 lanes: a = 6.0 and 7.3 ns, b = 1.6 and 1.2 ns).
+_SAMPLER_ENERGIES = 6
+# Work per forked worker of _mc_rates.  A fork, pipe and reap of the 42 MB
+# process took 3.4-3.7 ms, but each worker also builds its own tables and
+# faults in its own pages.  Two workers against one (paired medians of 30
+# alternating calls, 100 lanes, same VM): at one energy on the full 2-shift
+# 1.16x at 1e6 lane-steps, 0.9-1.4x at 2e6, 0.88x at 3e6, 0.85x at 5e6 and
+# 0.82x at 1e7; on the 101-energy golden-mean grid 1.04x at 5e6
+# lane-step-energies, 0.90x at 1e7, 0.79x at 2e7, 0.65x at 4e7 and 0.59x
+# at 1e8.  One energy gains less because half the lanes is not half the
+# time there: 50 lanes of 1e5 steps took 51-59 ms alone against 83-90 ms
+# for 100.  2**24 = 1.7e7 per worker splits a call in two from 3.4e7: 4.8e6
+# lane-steps at one energy (the README quickstart's 1e7 is twice that) and
+# 3.2e7 lane-step-energies on the grid.
 # The CPU count is the affinity mask: a cgroup CPU quota below it is not
 # detected, and `taskset -c CPUS` is the way to restrict the workers.
-_SPLIT_WORK = 1 << 25
+_SPLIT_WORK = 1 << 24
 
 
 def _step_bits(l: int) -> float:
@@ -343,8 +357,12 @@ def _mc_rates(
     with (seed, i), computed by :func:`_lane_rates` in W contiguous shares
     of the lanes, share j the lanes [n*j // W, n*(j+1) // W) with
     n = n_samples, and
-    W = max(1, min(usable CPUs, n_samples, work // _SPLIT_WORK)), work the
-    lane-step-energies n_steps * n_samples * len(k_values).  Shares
+    W = max(1, min(usable CPUs, n_samples, work // _SPLIT_WORK)), work
+    n_steps * n_samples * (len(k_values) + _SAMPLER_ENERGIES): each
+    lane-step costs its sampler draw besides one product per energy.  Every
+    energy is checked first (:func:`sftlab.cocycle.check_energy`), so a
+    singular or non-finite one raises before any fork or draw, and an empty
+    grid returns an empty (0, n_samples) array without walking.  Shares
     1..W-1 each run in an os.fork() child, which runs only the kernel and
     one write of its rates' bytes to its own pipe (:func:`_worker`); the
     parent computes share 0 itself, reads every pipe to EOF before it
@@ -366,8 +384,13 @@ def _mc_rates(
     benchmark pins BLAS to one thread.  On Python >= 3.12 os.fork issues a
     DeprecationWarning when other threads exist; outside __main__ that
     warning is ignored by default (CI runs 3.10 and 3.11)."""
+    for k in k_values:
+        check_energy(k)
+    if len(k_values) == 0:
+        return np.empty((0, n_samples))
     seeds = [(int(seed), i) for i in range(n_samples)]
-    w = max(1, min(_usable_cpus(), n_samples, n_steps * n_samples * len(k_values) // _SPLIT_WORK))
+    work = n_steps * n_samples * (len(k_values) + _SAMPLER_ENERGIES)
+    w = max(1, min(_usable_cpus(), n_samples, work // _SPLIT_WORK))
     if w == 1:
         return _lane_rates(measure, k_values, n_steps, seeds)
     shares = [seeds[n_samples * j // w : n_samples * (j + 1) // w] for j in range(w)]

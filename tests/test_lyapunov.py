@@ -17,6 +17,7 @@ import pytest
 from sftlab import (
     PeriodicPoint,
     ScaledMat2,
+    SingularEnergy,
     Word,
     a_matrix,
     cocycle_product,
@@ -597,8 +598,15 @@ def test_mc_gathers_contiguous_energy_rows(monkeypatch):
     assert any(shape[2] < 100 for shape in shapes)  # the lanes do split
 
 
-def test_mc_empty_grid():
+def test_mc_empty_grid(monkeypatch):
+    # neither walks nor forks, though at 1e5 steps x 100 samples the
+    # sampler alone is work for two workers
+    forks, walks = _count_forks(monkeypatch), _count_walks(monkeypatch)
+    monkeypatch.setattr(lyapunov_module, "_usable_cpus", lambda: 2)
     assert lyapunov_mc_grid(GOLDEN_HALF, [], 1000, 4, 3) == []
+    assert lyapunov_mc_grid(FULL_UNIFORM, [], 100_000, 100, 1) == []
+    assert _mc_rates(FULL_UNIFORM, [], 100_000, 100, 1).shape == (0, 100)
+    assert forks == [] and walks == []
 
 
 # ------------------------------------------------------------- forked workers
@@ -659,21 +667,63 @@ def test_mc_rates_bytes_do_not_depend_on_the_worker_count(monkeypatch, name):
     _assert_no_child_left()
 
 
+def _count_walks(monkeypatch):
+    """Count the sampler walks this process starts."""
+    walks = []
+    lane_walk = lyapunov_module._lane_walk
+
+    def counting_walk(*args):
+        walks.append(1)
+        return lane_walk(*args)
+
+    monkeypatch.setattr(lyapunov_module, "_lane_walk", counting_walk)
+    return walks
+
+
 def test_mc_worker_count_follows_cpus_lanes_and_work(monkeypatch):
-    # W = max(1, min(usable CPUs, n_samples, work // _SPLIT_WORK)), work the
-    # lane-step-energies n_steps * n_samples * len(k_values): the mc_path op
-    # (one energy, 100 samples of 1e5 steps) stays in-process, and the
-    # mc_scan op (101 energies, 100 samples of 1e4 steps) splits in two on
-    # two or more CPUs
-    assert 1 * 100 * 100_000 // lyapunov_module._SPLIT_WORK == 0
-    assert 101 * 100 * 10_000 // lyapunov_module._SPLIT_WORK >= 2
+    # W = max(1, min(usable CPUs, n_samples, work // _SPLIT_WORK)), work
+    # n_steps * n_samples * (len(k_values) + _SAMPLER_ENERGIES): on two CPUs
+    # the README quickstart and the mc_path op (one energy, 100 samples of
+    # 1e5 steps) split in two, as the mc_scan op (101 energies, 100 samples
+    # of 1e4 steps) does, and one energy at 1e4 steps stays in-process
+    # only the worker count is under test: the parent and the workers it
+    # forks run a kernel of zeros
     forks = _count_forks(monkeypatch)
-    monkeypatch.setattr(lyapunov_module, "_SPLIT_WORK", 2000)
-    for cpus, n_k, n_samples, w in ((8, 1, 3, 1), (8, 1, 5, 2), (8, 3, 5, 5), (3, 20, 5, 3), (1, 20, 5, 1)):
+    monkeypatch.setattr(lyapunov_module, "_lane_rates", lambda measure, ks, n_steps, seeds: np.zeros((len(ks), len(seeds))))
+    monkeypatch.setattr(lyapunov_module, "_usable_cpus", lambda: 2)
+    grid = [float(k) for k in np.linspace(0.05, math.pi - 0.05, 101)]
+    for ks, n_steps, w in (([1.0], 100_000, 2), ([1.0], 10_000, 1), (grid, 10_000, 2)):
+        forks.clear()
+        _mc_rates(FULL_UNIFORM, ks, n_steps, 100, 0)
+        assert len(forks) == w - 1, (len(ks), n_steps)
+    # the README shape splits with a factor 2 to spare, one energy at 1e4
+    # steps is below the split by more than that
+    assert 100_000 * 100 * (1 + lyapunov_module._SAMPLER_ENERGIES) >= 4 * lyapunov_module._SPLIT_WORK
+    assert 10_000 * 100 * (1 + lyapunov_module._SAMPLER_ENERGIES) * 4 < 2 * lyapunov_module._SPLIT_WORK
+    # work binds at one energy, lanes at (8, 14, 5), CPUs at (3, 20, 5) and
+    # (1, 20, 5); (8, 1, 3) and (8, 1, 5) split only because the sampler
+    # counts
+    monkeypatch.setattr(lyapunov_module, "_SPLIT_WORK", 10_000)
+    rows = ((8, 1, 2, 1), (8, 1, 3, 2), (8, 1, 5, 3), (8, 14, 5, 5), (3, 20, 5, 3), (1, 20, 5, 1))
+    for cpus, n_k, n_samples, w in rows:
         monkeypatch.setattr(lyapunov_module, "_usable_cpus", lambda: cpus)
         forks.clear()
         _mc_rates(GOLDEN_HALF, [0.5 + 0.1 * a for a in range(n_k)], 1000, n_samples, 2)
         assert len(forks) == w - 1, (cpus, n_k, n_samples)
+    _assert_no_child_left()
+
+
+@pytest.mark.parametrize(
+    "k, error", [(math.pi, SingularEnergy), (-2 * math.pi, SingularEnergy), (math.nan, ValueError), (math.inf, ValueError)]
+)
+def test_mc_bad_energy_raises_before_any_fork_or_walk(monkeypatch, k, error):
+    # the bad energy comes last on the grid, and every energy is checked
+    # before the parent forks or its kernel starts the walk
+    forks, walks = _count_forks(monkeypatch), _count_walks(monkeypatch)
+    _force_workers(monkeypatch, 2)
+    with pytest.raises(error):
+        lyapunov_mc_grid(GOLDEN_HALF, [0.5, 1.5, k], 1000, 4, 3)
+    assert forks == [] and walks == []
     _assert_no_child_left()
 
 
