@@ -427,6 +427,28 @@ def test_csv_round_trip():
     assert rows[1][2] == "x,y"
 
 
+# to_csv converts whole columns, handing a column of exact ints and strs to
+# csv untouched; the bytes are those of writing each cell by the per-cell
+# rule: a bool as true/false (also next to ints), a float with 17
+# significant digits, anything else as str()
+@pytest.mark.parametrize(
+    "columns, rows, expected",
+    [
+        (
+            ("v",),
+            [(3,), (True,), (False,), (0.1,), (math.inf,), (-math.inf,), (math.nan,), ("a,b",), (-7,)],
+            'v\n3\ntrue\nfalse\n0.10000000000000001\ninf\n-inf\nnan\n"a,b"\n-7\n',
+        ),
+        (("n", "s"), [(1, "x"), (-20, "y,z"), (3, "")], 'n,s\n1,x\n-20,"y,z"\n3,\n'),
+        (("b",), [(1,), (True,), (0,), (False,)], "b\n1\ntrue\n0\nfalse\n"),
+        (("a", "b", "c"), [], "a,b,c\n"),
+    ],
+    ids=["mixed", "int_str", "int_bool", "header_only"],
+)
+def test_csv_cells_follow_the_per_cell_rule(columns, rows, expected):
+    assert ResultTable("demo", columns, rows).to_csv() == expected
+
+
 def reject_constant(name):
     raise ValueError(f"non-standard JSON token {name}")
 

@@ -27,6 +27,7 @@ from sftlab import (
     lyapunov_mc,
     lyapunov_mc_grid,
     lyapunov_periodic,
+    monodromy_trace,
     sample_window,
     scaled_from,
     stationary_markov,
@@ -127,6 +128,27 @@ def test_periodic_matches_rate_of_repeated_cycle():
 
 
 # ------------------------------------------------------------ monte carlo
+
+
+def one_cycle(n):
+    """The shift of the one n-cycle 1 -> 2 -> ... -> n -> 1, with its
+    permutation matrix as transition, and that cycle as a point."""
+    spec = validate_spec(n, [(a, b) for a in range(1, n + 1) for b in range(1, n + 1) if b != a % n + 1])
+    transition = np.roll(np.eye(n), 1, axis=1)
+    return stationary_markov(spec, transition), PeriodicPoint.from_letters(range(1, n + 1))
+
+
+@pytest.mark.parametrize("n, k", [(2, math.pi / 2), (3, 1.0), (3, 2.0), (5, 2.0)])
+def test_mc_rates_on_a_one_cycle_shift_read_its_periodic_exponent(n, k):
+    # every sample path of a one-cycle shift repeats the cycle, so its
+    # exponent is lyapunov_periodic exactly; at a hyperbolic energy
+    # log||A_n|| = gamma n + c + O(e^{-2 gamma n}), and the difference
+    # quotient 2 r_2n - r_n cancels c, leaving only rounding
+    measure, p = one_cycle(n)
+    assert abs(monodromy_trace(p, k)) > 2.0
+    r_n = _mc_rates(measure, [k], 6000, 4, 11)[0]
+    r_2n = _mc_rates(measure, [k], 12_000, 4, 11)[0]
+    assert np.abs(2.0 * r_2n - r_n - lyapunov_periodic(p, k)).max() <= 1e-12
 
 
 def test_mc_validates_arguments():

@@ -8,6 +8,7 @@ import itertools
 import random
 import time
 
+import numpy as np
 import pytest
 
 from sftlab import (
@@ -399,6 +400,24 @@ def test_periodic_point_rejects_letters_below_1(letters):
         PeriodicPoint.from_letters(letters)
     with pytest.raises(ValueError, match=r"letters must be >= 1$"):
         PeriodicPoint(Word(letters), len(letters))
+
+
+@pytest.mark.parametrize("letters", [(1.9, 2), (1, 2.0), ("1", 2), (True, 2), (1, False), (np.True_, 2)])
+def test_letters_must_be_integers(letters):
+    # int() would truncate 1.9 to 1, parse "1" and read a bool as 1 or 0
+    with pytest.raises(TypeError):
+        Word(letters)
+    with pytest.raises(TypeError):
+        PeriodicPoint.from_letters(letters)
+
+
+def test_letters_take_numpy_integers_as_ints():
+    w = Word(np.array([1, 2, 3], dtype=np.int64), -1)
+    assert w == Word((1, 2, 3), -1)
+    assert all(type(x) is int for x in w.letters)
+    p = PeriodicPoint.from_letters([np.uint8(2), np.int32(1)])
+    assert p == PeriodicPoint.from_letters((1, 2))
+    assert all(type(x) is int for x in p.cycle.letters)
 
 
 def test_periodic_point_rejects_bad_shapes():
